@@ -27,7 +27,10 @@ def _read(path):
     p = Path(path)
     if not p.exists():
         raise InputError(f"no such file: {path}")
-    return p.read_text()
+    try:
+        return p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
 
 
 def _load_partition(path):
@@ -53,6 +56,8 @@ def cmd_verify(args):
 
 
 def cmd_coeff(args):
+    if args.power == 0:
+        raise InputError("power must be a nonzero integer")
     p = _load_partition(args.partition)
     m = coeff_matrix(p)
     for line in m.lines():

@@ -1,7 +1,9 @@
 """Small exact linear algebra helpers over the rationals.
 
-Matrices are lists of row lists holding ints or Fractions.  Everything
-here is naive Gaussian elimination; sizes in this package stay tiny.
+Matrices are lists of row lists holding ints or Fractions.  The
+solvers share one Gauss-Jordan routine, `_rref`, which reduces a
+matrix (with optional augmented columns) to reduced row echelon form;
+sizes in this package stay tiny.
 """
 
 from fractions import Fraction
@@ -12,10 +14,6 @@ from goa.errors import InputError
 def mat_mul(a, b):
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def mat_sub(a, b):
@@ -41,10 +39,8 @@ def identity_matrix(s):
 
 
 def mat_pow(a, e):
-    if e < 0:
-        return mat_pow(mat_inverse(a), -e)
-    s = len(a)
-    out = identity_matrix(s)
+    """a^e for an integer e >= 0, by repeated squaring."""
+    out = identity_matrix(len(a))
     base = a
     while e:
         if e & 1:
@@ -54,94 +50,23 @@ def mat_pow(a, e):
     return out
 
 
-def mat_div_exact(a, d):
-    """Divide every entry by d, requiring exact divisibility into ints or Fractions."""
-    out = []
-    for row in a:
-        r = []
-        for x in row:
-            q = Fraction(x, d) if not isinstance(x, Fraction) else x / d
-            r.append(q.numerator if q.denominator == 1 else q)
-        out.append(r)
-    return out
+def _rref(a, extra):
+    """Gauss-Jordan elimination of a with the rows of extra appended.
 
-
-def solve_exact(a, b):
-    """Solve the square system a x = b exactly; raises on singular input."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(a, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise InputError("singular system")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
-
-
-def mat_inverse(a):
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise InputError("matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    out = []
-    for r in range(n):
-        row = m[r][n:]
-        out.append([x.numerator if x.denominator == 1 else x for x in row])
-    return out
-
-
-def rank(a):
-    if not a:
-        return 0
-    m = [[Fraction(x) for x in row] for row in a]
-    rows, cols = len(m), len(m[0])
-    rk = 0
-    for col in range(cols):
-        piv = next((r for r in range(rk, rows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rk], m[piv] = m[piv], m[rk]
-        inv = 1 / m[rk][col]
-        m[rk] = [x * inv for x in m[rk]]
-        for r in range(rows):
-            if r != rk and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rk])]
-        rk += 1
-        if rk == rows:
-            break
-    return rk
-
-
-def solve_least_norm(a, b):
-    """Solve a x = b for a possibly rectangular exact system.
-
-    Returns (solution, residual_is_zero).  The solution sets free
-    variables to zero; residual_is_zero reports whether b lies in the
-    column span of a.
+    extra holds one (possibly empty) row per row of a; those columns are
+    carried along but never chosen as pivots.  Returns (rows, pivots):
+    the reduced augmented rows as Fractions, and the pivot columns of a
+    in order, so len(pivots) is the rank of a.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    m = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(a, b)]
+    m = [[Fraction(x) for x in row] + [Fraction(x) for x in ext]
+         for row, ext in zip(a, extra)]
     pivots = []
-    rk = 0
     for col in range(cols):
+        rk = len(pivots)
+        if rk == rows:
+            break
         piv = next((r for r in range(rk, rows) if m[r][col] != 0), None)
         if piv is None:
             continue
@@ -153,11 +78,41 @@ def solve_least_norm(a, b):
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[rk])]
         pivots.append(col)
-        rk += 1
-        if rk == rows:
-            break
-    consistent = all(m[r][cols] == 0 for r in range(rk, rows))
+    return m, pivots
+
+
+def solve_exact(a, b):
+    """Solve the square system a x = b exactly; raises on singular input."""
+    n = len(a)
+    m, pivots = _rref(a, [[v] for v in b])
+    if len(pivots) < n:
+        raise InputError("singular system")
+    return [m[r][n] for r in range(n)]
+
+
+def mat_inverse(a):
+    n = len(a)
+    m, pivots = _rref(a, identity_matrix(n))
+    if len(pivots) < n:
+        raise InputError("matrix is singular")
+    return [[x.numerator if x.denominator == 1 else x for x in row[n:]] for row in m]
+
+
+def rank(a):
+    return len(_rref(a, [()] * len(a))[1])
+
+
+def solve_least_norm(a, b):
+    """Solve a x = b for a possibly rectangular exact system.
+
+    Returns (solution, residual_is_zero).  The solution sets free
+    variables to zero; residual_is_zero reports whether b lies in the
+    column span of a.
+    """
+    cols = len(a[0]) if a else 0
+    m, pivots = _rref(a, [[v] for v in b])
+    consistent = all(row[cols] == 0 for row in m[len(pivots):])
     x = [Fraction(0)] * cols
-    for r, col in enumerate(pivots):
-        x[col] = m[r][cols]
+    for row, col in zip(m, pivots):
+        x[col] = row[cols]
     return x, consistent

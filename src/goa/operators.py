@@ -6,14 +6,14 @@ that spans the Terwilliger algebra of the hypercube.
 All operators act on P-basis polynomials and return P-basis polynomials.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from goa.errors import InputError
 from goa.linalg import solve_exact
 from goa.poly import P, Poly
-from goa.subsets import MAX_N_DENSE, GroundSet, enumerate_by_size, popcount
+from goa.subsets import GroundSet, enumerate_by_size, popcount
 
 
 def _require_p_basis(p: Poly):
@@ -112,29 +112,15 @@ def vandermonde_coeffs(g: GroundSet):
 
 @dataclass
 class LinearOperator:
-    """A linear map on P-basis polynomials, with optional dense matrix.
-
-    The matrix is materialized lazily and only for small ground sets;
-    column j is the image of the j-th basis vector.
-    """
+    """A named linear map on P-basis polynomials."""
 
     g: GroundSet
     apply: object
     name: str = ""
     admissible: bool = True
-    _matrix: list = field(default=None, repr=False, compare=False)
 
     def __call__(self, p: Poly) -> Poly:
         return self.apply(p)
-
-    def matrix(self):
-        if self._matrix is None:
-            if self.g.n > MAX_N_DENSE:
-                raise InputError(f"dense matrices require n <= {MAX_N_DENSE}")
-            size = self.g.size
-            cols = [self.apply(Poly.term(self.g, a)).coeffs for a in range(size)]
-            self._matrix = [[cols[a][b] for a in range(size)] for b in range(size)]
-        return self._matrix
 
 
 def e_klr(g: GroundSet, k: int, l: int, r: int) -> LinearOperator:
@@ -162,10 +148,6 @@ def e_klr(g: GroundSet, k: int, l: int, r: int) -> LinearOperator:
         return Poly(p.g, P, out)
 
     return LinearOperator(g, apply, name=f"E[{k},{l},{r}]", admissible=admissible)
-
-
-def identity_on_level(g: GroundSet, k: int) -> LinearOperator:
-    return e_klr(g, k, k, k)
 
 
 def admissible_triples(g: GroundSet):

@@ -108,9 +108,6 @@ class PermGroup:
     def order(self):
         return len(self.elements)
 
-    def __contains__(self, sigma):
-        return sigma in set(self.elements)
-
 
 def close_generators(g: GroundSet, gens, cap=DEFAULT_CLOSURE_CAP) -> PermGroup:
     """Breadth-first closure under composition; raises BudgetExceeded past cap."""

@@ -172,6 +172,8 @@ def lovasz_tight_instance(r: int, pad: int = 0):
     """
     if r < 2:
         raise InputError("tight family needs r >= 2")
+    if pad < 0:
+        raise InputError(f"pad must be nonnegative, got {pad}")
     n = 2 * r + pad
     if n > 16:
         raise InputError("ground set too large (n <= 16)")

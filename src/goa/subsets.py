@@ -11,7 +11,6 @@ from math import comb
 from goa.errors import InputError
 
 MAX_N_VECTOR = 20   # 2^n coefficient vectors stay practical up to here
-MAX_N_DENSE = 10    # dense 2^n x 2^n operator matrices only below this
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import pytest
+
 from goa.cli import main
 from goa.partition import format_partition, parse_partition_text
 
@@ -130,6 +132,36 @@ def test_partition_print_parse_round_trip(tmp_path, capsys):
 
 
 def test_unknown_flag_is_usage_error(tmp_path):
-    import pytest
     with pytest.raises(SystemExit):
         main(["verify"])
+
+
+@pytest.mark.parametrize("argv_of", [
+    lambda d: ("verify", "--partition", str(d)),
+    lambda d: ("verify", "--partition", str(d / "latin1.txt")),
+    lambda d: ("orbits", "--group", str(d / "latin1.txt")),
+    lambda d: ("muller-tight", "--r", "3", "--pad", "-1"),
+], ids=["directory", "non-utf8-partition", "non-utf8-group", "negative-pad"])
+def test_crashes_are_input_errors(tmp_path, capsys, argv_of):
+    (tmp_path / "latin1.txt").write_bytes("n 3\n(1,2)\n# caf\xe9\n".encode("latin-1"))
+    code, out, err = run(capsys, *argv_of(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:")
+
+
+def test_coeff_power_zero_rejected_before_output(tmp_path, capsys):
+    f = tmp_path / "p.txt"
+    f.write_text(EXAMPLE)
+    code, out, err = run(capsys, "coeff", "--partition", str(f), "--power", "0")
+    assert code == 2
+    assert out == ""
+    assert "nonzero" in err
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_enumerate_rejects_nonpositive_budget(capsys, budget):
+    code, out, err = run(capsys, "enumerate-srp", "--n", "2", "--budget", budget)
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
