@@ -123,6 +123,8 @@ def cmd_identities(args):
 
 def cmd_recon(args):
     p = _load_partition(args.partition)
+    if args.size is not None and not 0 <= args.size <= p.g.n:
+        raise InputError(f"--size must be in 0..{p.g.n}, got {args.size}")
     matrix = coeff_matrix(p)
     sizes = sorted({k for k in matrix.member_sizes})
     wanted = [args.size] if args.size is not None else sizes
@@ -187,6 +189,8 @@ def cmd_digraph_demo(args):
 
 
 def cmd_dimensions(args):
+    if args.n < 1:
+        raise InputError(f"--n must be at least 1, got {args.n}")
     lhs, rhs, holds = bilinear_dimension_comparison(args.n)
     print(f"three-times-squared-order3: {lhs}")
     print(f"order4: {rhs}")

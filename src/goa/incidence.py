@@ -17,7 +17,7 @@ from goa.errors import InputError
 from goa.linalg import solve_least_norm
 from goa.operators import e_klr, epsilon_inverse, epsilon_map
 from goa.poly import Poly
-from goa.subsets import GroundSet, popcount
+from goa.subsets import GroundSet, popcount, subset_sum
 
 
 @dataclass(frozen=True)
@@ -34,28 +34,16 @@ class IncidenceFunction:
         return self.values[j]
 
     def cells(self):
-        """Moebius transform: the 2^t Venn-cell cardinalities."""
-        t = self.order
-        c = list(self.values)
-        for i in range(t):
-            bit = 1 << i
-            for m in range(1 << t):
-                if not m & bit:
-                    c[m] -= c[m | bit]
-        return tuple(c)
+        """Moebius transform over supersets: the 2^t Venn-cell
+        cardinalities (subset_sum with w = -1 on the reversed vector)."""
+        return tuple(subset_sum(self.values[::-1], self.order, -1)[::-1])
 
     def is_valid(self):
         return all(v >= 0 for v in self.cells())
 
 
 def _mu_from_cells(t, cells):
-    vals = list(cells)
-    for i in range(t):
-        bit = 1 << i
-        for m in range(1 << t):
-            if not m & bit:
-                vals[m] += vals[m | bit]
-    return IncidenceFunction(t, tuple(vals))
+    return IncidenceFunction(t, tuple(subset_sum(cells[::-1], t, 1)[::-1]))
 
 
 def _compositions(total, parts):

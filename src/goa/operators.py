@@ -13,7 +13,7 @@ from math import factorial
 from goa.errors import InputError
 from goa.linalg import solve_exact
 from goa.poly import P, Poly
-from goa.subsets import GroundSet, enumerate_by_size, popcount
+from goa.subsets import GroundSet, enumerate_by_size, popcount, subset_sum
 
 
 def _require_p_basis(p: Poly):
@@ -37,14 +37,10 @@ def derivation(p: Poly) -> Poly:
 
 
 def complementation(p: Poly) -> Poly:
-    """p_A -> p_{complement of A}; an involution."""
+    """p_A -> p_{complement of A}; an involution.  The complement of a
+    mask is full - mask, so this reverses the coefficient vector."""
     _require_p_basis(p)
-    full = p.g.full_mask
-    out = [0] * p.g.size
-    for a, c in enumerate(p.coeffs):
-        if c != 0:
-            out[a ^ full] = c
-    return Poly(p.g, P, out)
+    return Poly(p.g, P, p.coeffs[::-1])
 
 
 def ell_power(m: int, p: Poly) -> Poly:
@@ -52,20 +48,16 @@ def ell_power(m: int, p: Poly) -> Poly:
     sum over k of (m^k / k!) * derivation^k, i.e. sends p_A to the sum
     of m^(|A|-|B|) p_B over subsets B of A.
 
-    Implemented as the weighted superset transform, one lattice sweep
-    per element; the series form is kept as a tested identity (see
-    ell_power_series).  m must be a nonzero integer.
+    Coefficient B of the image is a weighted sum over the supersets of
+    B.  Reversing the vector (complementation) turns superset sums into
+    subset sums, so this is subset_sum with w = m between two reversals.
+    The series form is kept as a tested identity (see ell_power_series).
+    m must be a nonzero integer.
     """
     if m == 0:
         raise InputError("ell_power requires a nonzero integer power")
     _require_p_basis(p)
-    c = list(p.coeffs)
-    for i in range(p.g.n):
-        bit = 1 << i
-        for x in range(p.g.size):
-            if not x & bit:
-                c[x] = c[x] + m * c[x | bit]
-    return Poly(p.g, P, c)
+    return Poly(p.g, P, subset_sum(p.coeffs[::-1], p.g.n, m)[::-1])
 
 
 def ell_power_series(m: int, p: Poly) -> Poly:

@@ -360,8 +360,8 @@ def partition_from_polys(polys) -> Partition:
     if any(q.g != g for q in polys):
         raise InputError("polynomials live on different ground sets")
     groups = {}
-    for mask in g.masks():
-        key = tuple(Fraction(q.evaluate(mask)) for q in polys)
+    values = [q.to_basis(EPS).coeffs for q in polys]
+    for mask, key in enumerate(zip(*values)):
         groups.setdefault(key, []).append(mask)
     return Partition.from_blocks(g, list(groups.values()))
 

@@ -24,13 +24,6 @@ def compose(a, b):
     return tuple(a[x - 1] for x in b)
 
 
-def invert(a):
-    out = [0] * len(a)
-    for i, img in enumerate(a):
-        out[img - 1] = i + 1
-    return tuple(out)
-
-
 def parse_permutation(text: str, g: GroundSet):
     """Disjoint cycle notation, e.g. '(1,2)(3,4)'; '()' is the identity;
     fixed points may be omitted."""

@@ -12,7 +12,7 @@ Coefficients are Python ints or Fractions; the two mix exactly.
 from fractions import Fraction
 
 from goa.errors import InputError
-from goa.subsets import GroundSet, format_subset, popcount, submasks
+from goa.subsets import GroundSet, format_subset, popcount, submasks, subset_sum
 
 P = "P"
 EPS = "EPS"
@@ -82,14 +82,13 @@ class Poly:
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.g == other.g
-                and self.basis == other.basis
-                and all(a == b for a, b in zip(self.coeffs, other.coeffs)))
+                and self.basis == other.basis and self.coeffs == other.coeffs)
 
     def __hash__(self):
         return hash((self.g, self.basis, tuple(map(Fraction, self.coeffs))))
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def terms(self):
         """Nonzero (mask, coeff) pairs, ascending mask."""
@@ -127,30 +126,18 @@ class Poly:
     def to_basis(self, target: str):
         """Exact basis change; round trips are the identity.
 
-        P -> EPS is the subset-sum zeta transform of the coefficient
-        vector (p_A = sum of eps_B over B containing A); EPS -> P is its
-        inverse Moebius transform, carrying the alternating signs.
+        P -> EPS is the zeta transform of the coefficient vector (p_A is
+        the sum of eps_B over B containing A, so eps-coefficient B is the
+        sum of the p-coefficients of the subsets of B): subset_sum with
+        w = 1.  EPS -> P is its Moebius inverse, subset_sum with w = -1.
         Both run in O(n 2^n).
         """
         if target not in (P, EPS):
             raise InputError(f"unknown basis {target!r}")
         if target == self.basis:
             return self
-        c = list(self.coeffs)
-        n = self.g.n
-        if target == EPS:
-            for i in range(n):
-                bit = 1 << i
-                for m in range(self.g.size):
-                    if m & bit:
-                        c[m] = c[m] + c[m ^ bit]
-        else:
-            for i in range(n):
-                bit = 1 << i
-                for m in range(self.g.size):
-                    if m & bit:
-                        c[m] = c[m] - c[m ^ bit]
-        return Poly(self.g, target, c)
+        w = 1 if target == EPS else -1
+        return Poly(self.g, target, subset_sum(self.coeffs, self.g.n, w))
 
     def __repr__(self):
         return f"Poly({self.g.n}, {self.basis}, {dict(self.terms())})"

@@ -3,6 +3,13 @@
 Subsets of the ground set {1..n} are n-bit masks: element i is present
 iff bit i-1 is set.  All arithmetic in this package is exact (Python
 ints and fractions.Fraction); there are no floats anywhere.
+
+subset_sum is the one subset-lattice (zeta/Moebius) transform of the
+package, Yates' transform: the P <-> EPS basis change, the powers of the
+down-set operator and the Venn-cell transform of incidence functions all
+run through it.  Reversing a vector indexed by masks moves entry x to
+full - x, the complement of x: reversal is complementation, and it turns
+superset sums into subset sums.
 """
 
 from dataclasses import dataclass
@@ -86,6 +93,21 @@ def submasks(mask: int):
         if sub == 0:
             return
         sub = (sub - 1) & mask
+
+
+def subset_sum(c, n: int, w):
+    """Entry x of the result is the sum over submasks y of x of
+    w^(|x|-|y|) * c[y], for a vector c of length 2^n; returns a new list.
+
+    w = 1 is the zeta transform and w = -1 its Moebius inverse.  Each of
+    the n passes handles the lowest index bit and rotates the bits right
+    by one, so after n passes the index order is restored.
+    """
+    c = list(c)
+    for _ in range(n):
+        even, odd = c[0::2], c[1::2]
+        c = even + [b + w * a for a, b in zip(even, odd)]
+    return c
 
 
 def binom(n: int, k: int) -> int:

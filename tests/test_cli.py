@@ -141,9 +141,15 @@ def test_unknown_flag_is_usage_error(tmp_path):
     lambda d: ("verify", "--partition", str(d / "latin1.txt")),
     lambda d: ("orbits", "--group", str(d / "latin1.txt")),
     lambda d: ("muller-tight", "--r", "3", "--pad", "-1"),
-], ids=["directory", "non-utf8-partition", "non-utf8-group", "negative-pad"])
+    lambda d: ("dimensions", "--n", "-1"),
+    lambda d: ("dimensions", "--n", "0"),
+    lambda d: ("recon", "--partition", str(d / "example.txt"), "--size", "-1"),
+    lambda d: ("recon", "--partition", str(d / "example.txt"), "--size", "4"),
+], ids=["directory", "non-utf8-partition", "non-utf8-group", "negative-pad",
+        "dimensions-negative", "dimensions-zero", "recon-size-negative", "recon-size-above-n"])
 def test_crashes_are_input_errors(tmp_path, capsys, argv_of):
     (tmp_path / "latin1.txt").write_bytes("n 3\n(1,2)\n# caf\xe9\n".encode("latin-1"))
+    (tmp_path / "example.txt").write_text(EXAMPLE)
     code, out, err = run(capsys, *argv_of(tmp_path))
     assert code == 2
     assert out == ""

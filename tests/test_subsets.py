@@ -1,10 +1,13 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from goa.errors import InputError
 from goa.subsets import (GroundSet, binom, complement_mask, enumerate_by_size,
-                         format_subset, mask_of, parse_subset, popcount)
+                         format_subset, mask_of, parse_subset, popcount, submasks,
+                         subset_sum)
 
 
 def test_enumerate_examples():
@@ -70,3 +73,38 @@ def test_ground_set_bounds():
         GroundSet(0)
     with pytest.raises(InputError):
         GroundSet(21)
+
+
+WEIGHTS = st.sampled_from([-2, -1, 1, 2, 3])
+ENTRIES = st.one_of(st.integers(-50, 50),
+                    st.fractions(min_value=-50, max_value=50, max_denominator=12))
+
+
+@st.composite
+def lattice_vectors(draw):
+    n = draw(st.integers(min_value=0, max_value=6))
+    return n, draw(st.lists(ENTRIES, min_size=1 << n, max_size=1 << n))
+
+
+@given(lattice_vectors(), WEIGHTS)
+def test_subset_sum_matches_direct_submask_sum(nc, w):
+    n, c = nc
+    out = subset_sum(c, n, w)
+    assert out == [sum(Fraction(w) ** (popcount(x) - popcount(y)) * c[y] for y in submasks(x))
+                   for x in range(1 << n)]
+
+
+@given(lattice_vectors())
+def test_subset_sum_zeta_and_moebius_invert_each_other(nc):
+    n, c = nc
+    assert subset_sum(subset_sum(c, n, 1), n, -1) == c
+    assert subset_sum(subset_sum(c, n, -1), n, 1) == c
+
+
+@given(lattice_vectors(), WEIGHTS)
+def test_subset_sum_accepts_a_tuple_and_leaves_its_input_unchanged(nc, w):
+    n, c = nc
+    before = list(c)
+    t = tuple(c)
+    assert subset_sum(t, n, w) == subset_sum(c, n, w)
+    assert t == tuple(before) and c == before
