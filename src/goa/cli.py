@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Exit codes: 0 verified / true / success, 1 falsified / false, 2 input
-error, 3 resource budget exceeded.  Reports are plain 'key: value'
-lines so acceptance logs diff cleanly.
+error, 3 resource budget exceeded, 4 internal error (any other
+exception, reported as one stderr line, so a crash never reads as a
+verdict).  Reports are plain 'key: value' lines so acceptance logs diff
+cleanly.
 """
 
 import argparse
@@ -13,9 +15,8 @@ from goa.digraphs import graph_kelly_check, hypomorphy_search
 from goa.errors import BudgetExceeded, InputError, VerificationFailure
 from goa.identities import DEFAULT_SEED, identity_suite
 from goa.incidence import bilinear_dimension_comparison
-from goa.partition import (coeff_matrix, format_partition, mnukhin_check,
-                           parse_partition_text, verify_goa_closure,
-                           verify_strongly_regular)
+from goa.partition import (format_partition, mnukhin_check, parse_partition_text,
+                           verify_goa_closure, verify_strongly_regular)
 from goa.perms import format_permutation, orbit_partition, parse_group_text, partition_stabilizer
 from goa.recon import (lovasz_check, lovasz_tight_instance, maynard_siemons_index,
                        muller_check, reconstruction_pairs)
@@ -59,11 +60,10 @@ def cmd_coeff(args):
     if args.power == 0:
         raise InputError("power must be a nonzero integer")
     p = _load_partition(args.partition)
-    m = coeff_matrix(p)
-    for line in m.lines():
+    for line in p.matrix.lines():
         print(line)
     if args.power is not None:
-        mnukhin_check(p, args.power, m)
+        mnukhin_check(p, args.power)
         print(f"power-law m={args.power}: True")
     return 0
 
@@ -125,20 +125,18 @@ def cmd_recon(args):
     p = _load_partition(args.partition)
     if args.size is not None and not 0 <= args.size <= p.g.n:
         raise InputError(f"--size must be in 0..{p.g.n}, got {args.size}")
-    matrix = coeff_matrix(p)
-    sizes = sorted({k for k in matrix.member_sizes})
-    wanted = [args.size] if args.size is not None else sizes
-    for k in wanted:
-        pairs = reconstruction_pairs(p, k, matrix)
+    wanted = [args.size] if args.size is not None else sorted(set(p.matrix.member_sizes))
+    pairs_by_size = {k: reconstruction_pairs(p, k) for k in wanted}
+    for k, pairs in pairs_by_size.items():
         print(f"pairs at size {k}: {len(pairs)}")
         for pair in pairs:
             print(f"pair: blocks {pair.a} {pair.b} "
                   f"({format_subset(p.blocks[pair.a][0])} vs {format_subset(p.blocks[pair.b][0])})")
-    lovasz_check(p, matrix)
+    lovasz_check(p)
     print("no-pairs-above-half: True")
-    for k in wanted:
-        for pair in reconstruction_pairs(p, k, matrix):
-            rows = muller_check(p, pair, matrix)
+    for pairs in pairs_by_size.values():
+        for pair in pairs:
+            rows = muller_check(p, pair)
             in_scope = [r for r in rows if r[3]]
             print(f"order-bound pair ({pair.a},{pair.b}): {len(in_scope)} bounds hold")
     return 0
@@ -147,15 +145,14 @@ def cmd_recon(args):
 def cmd_muller_tight(args):
     group, a_mask, b_mask = lovasz_tight_instance(args.r, args.pad)
     part = orbit_partition(group)
-    matrix = coeff_matrix(part)
     print(f"n: {group.g.n}")
     print(f"group-order: {group.order}")
     print(f"set-a: {format_subset(a_mask)}")
     print(f"set-b: {format_subset(b_mask)}")
-    pairs = [q for q in reconstruction_pairs(part, args.r, matrix)
+    pairs = [q for q in reconstruction_pairs(part, args.r)
              if {q.a, q.b} == {part.block_of[a_mask], part.block_of[b_mask]}]
     print(f"equal-decks: {bool(pairs)}")
-    rows = muller_check(part, pairs[0], matrix)
+    rows = muller_check(part, pairs[0])
     empty_block = part.block_of[0]
     bound_row = next(r for r in rows if r[0] == empty_block)
     print(f"empty-block-bound: 2^{args.r - 1} = {bound_row[1]} <= orbit size {bound_row[2]}")
@@ -283,6 +280,9 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -8,9 +8,10 @@ pair (i, j) the number of members of block j inside a member of block i
 does not depend on the chosen member.  The downward counts form the
 coefficient matrix; it doubles as the matrix of comp . ell . comp on the
 block basis, and that identification is cross-checked, not assumed.
+A partition builds its coefficient matrix once, on first use of
+Partition.matrix; every function here and in goa.recon reads it there.
 """
 
-import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,19 +20,27 @@ from goa.errors import InputError, VerificationFailure
 from goa.linalg import mat_inverse, mat_pow
 from goa.operators import complementation, derivation, ell_power
 from goa.poly import EPS, P, Poly
-from goa.subsets import GroundSet, format_subset, parse_subset, popcount, submasks
+from goa.subsets import GroundSet, format_subset, parse_header, parse_subset, popcount, submasks
 
 
 class Partition:
     """Blocks of masks in canonical order: ascending (member size, smallest
     member); members ascending.  block_of maps every mask to its block."""
 
-    __slots__ = ("g", "blocks", "block_of")
+    __slots__ = ("g", "blocks", "block_of", "_matrix")
 
     def __init__(self, g, blocks, block_of):
         self.g = g
         self.blocks = blocks
         self.block_of = block_of
+        self._matrix = None
+
+    @property
+    def matrix(self) -> "CoeffMatrix":
+        """coeff_matrix(self), built on first access and kept."""
+        if self._matrix is None:
+            self._matrix = coeff_matrix(self)
+        return self._matrix
 
     @classmethod
     def from_blocks(cls, g: GroundSet, blocks):
@@ -192,10 +201,11 @@ class CoeffMatrix:
         return out
 
 
-def coeff_matrix(p: Partition, report: SrpReport = None) -> CoeffMatrix:
+def coeff_matrix(p: Partition) -> CoeffMatrix:
     """Downward-count matrix of a strongly regular partition, cross-checked
-    against the operator comp . ell . comp expressed on the block basis."""
-    report = report or verify_strongly_regular(p)
+    against the operator comp . ell . comp expressed on the block basis.
+    Callers read p.matrix, which calls this once per partition."""
+    report = verify_strongly_regular(p)
     if not report.ok:
         raise InputError("coefficient matrix requires a strongly regular partition")
     m = CoeffMatrix(
@@ -215,10 +225,10 @@ def coeff_matrix(p: Partition, report: SrpReport = None) -> CoeffMatrix:
     return m
 
 
-def upward_count(p: Partition, i: int, j: int, matrix: CoeffMatrix = None) -> int:
+def upward_count(p: Partition, i: int, j: int) -> int:
     """Members of block j containing a member of block i; checked constant
     and equal to both closed forms (orbit-size ratio and complement form)."""
-    matrix = matrix or coeff_matrix(p)
+    matrix = p.matrix
     direct = None
     members_j = p.blocks[j]
     for a in p.blocks[i]:
@@ -291,11 +301,11 @@ def verify_goa_closure(p: Partition) -> GoaReport:
     return GoaReport(True)
 
 
-def structure_constants(p: Partition, i: int, j: int, matrix: CoeffMatrix = None):
+def structure_constants(p: Partition, i: int, j: int):
     """Coefficients of (block i poly) * (block j poly) on the block basis,
     by Moebius inversion over the coefficient matrix, cross-checked against
     the direct product."""
-    matrix = matrix or coeff_matrix(p)
+    matrix = p.matrix
     s = matrix.s
     ent, sizes = matrix.entries, matrix.member_sizes
     moebius = []
@@ -321,12 +331,12 @@ def structure_constants(p: Partition, i: int, j: int, matrix: CoeffMatrix = None
     return tuple(moebius)
 
 
-def mnukhin_check(p: Partition, m: int, matrix: CoeffMatrix = None) -> bool:
+def mnukhin_check(p: Partition, m: int) -> bool:
     """Entrywise power law of the coefficient matrix: the (i,j) entry of
     M^m equals m^(size_i - size_j) times the (i,j) entry of M."""
     if m == 0:
         raise InputError("power must be a nonzero integer")
-    matrix = matrix or coeff_matrix(p)
+    matrix = p.matrix
     base = [list(row) for row in matrix.entries]
     power = mat_pow(base if m > 0 else mat_inverse(base), abs(m))
     sizes = matrix.member_sizes
@@ -373,30 +383,13 @@ def partition_from_polys(polys) -> Partition:
 def parse_partition_text(text: str) -> Partition:
     """Line 1 'n <int>'; each later nonempty line one block, members
     separated by ' ; ', each in subset syntax.  '#' starts a comment."""
-    g = None
+    g, body = parse_header(text, "partition")
     blocks = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if g is None:
-            m = re.fullmatch(r"n\s+(\d+)", line)
-            if not m:
-                raise InputError(f"line {lineno}: expected 'n <int>' header, got {line!r}")
-            try:
-                g = GroundSet(int(m.group(1)))
-            except InputError as exc:
-                raise InputError(f"line {lineno}: {exc}") from None
-            continue
-        members = []
-        for part in line.split(";"):
-            try:
-                members.append(parse_subset(part, g))
-            except InputError as exc:
-                raise InputError(f"line {lineno}: {exc}") from None
-        blocks.append(members)
-    if g is None:
-        raise InputError("partition file has no 'n <int>' header")
+    for lineno, line in body:
+        try:
+            blocks.append([parse_subset(part, g) for part in line.split(";")])
+        except InputError as exc:
+            raise InputError(f"line {lineno}: {exc}") from None
     return Partition.from_blocks(g, blocks)
 
 

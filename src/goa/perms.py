@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from goa.errors import BudgetExceeded, InputError
 from goa.partition import Partition
-from goa.subsets import GroundSet
+from goa.subsets import GroundSet, parse_header
 
 DEFAULT_CLOSURE_CAP = 10 ** 6
 
@@ -200,30 +200,13 @@ def partition_stabilizer(p: Partition) -> PermGroup:
 def parse_group_text(text: str) -> PermGroup:
     """Group file: line 1 'n <int>', then one generator per nonempty line
     in cycle notation; '#' starts a comment line."""
-    lines = text.splitlines()
-    header = None
+    g, body = parse_header(text, "group")
     gens = []
-    g = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            m = re.fullmatch(r"n\s+(\d+)", line)
-            if not m:
-                raise InputError(f"line {lineno}: expected 'n <int>' header, got {line!r}")
-            header = int(m.group(1))
-            try:
-                g = GroundSet(header)
-            except InputError as exc:
-                raise InputError(f"line {lineno}: {exc}") from None
-            continue
+    for lineno, line in body:
         try:
             gens.append(parse_permutation(line, g))
         except InputError as exc:
             raise InputError(f"line {lineno}: {exc}") from None
-    if g is None:
-        raise InputError("group file has no 'n <int>' header")
     return close_generators(g, gens)
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from math import comb
 
 from goa.errors import InputError, VerificationFailure
-from goa.partition import CoeffMatrix, Partition, coeff_matrix, upward_count
+from goa.partition import Partition, upward_count
 from goa.perms import PermGroup, close_generators, identity_perm, orbit_partition
 from goa.subsets import GroundSet, format_subset, mask_of, popcount
 
@@ -31,18 +31,18 @@ class ReconPair:
     deck: Deck
 
 
-def deck(p: Partition, i: int, matrix: CoeffMatrix = None) -> Deck:
-    matrix = matrix or coeff_matrix(p)
+def deck(p: Partition, i: int) -> Deck:
+    matrix = p.matrix
     k = matrix.member_sizes[i]
     smaller = tuple(j for j in range(matrix.s) if matrix.member_sizes[j] < k)
     return Deck(i, smaller, tuple(matrix.entries[i][j] for j in smaller))
 
 
-def reconstruction_pairs(p: Partition, k: int, matrix: CoeffMatrix = None):
+def reconstruction_pairs(p: Partition, k: int):
     """Unordered block pairs at member size k with identical decks."""
-    matrix = matrix or coeff_matrix(p)
+    matrix = p.matrix
     level = [i for i in range(matrix.s) if matrix.member_sizes[i] == k]
-    decks = {i: deck(p, i, matrix) for i in level}
+    decks = {i: deck(p, i) for i in level}
     out = []
     for xi, i in enumerate(level):
         for j in level[xi + 1:]:
@@ -51,10 +51,10 @@ def reconstruction_pairs(p: Partition, k: int, matrix: CoeffMatrix = None):
     return out
 
 
-def kelly_check(p: Partition, i: int, j: int, matrix: CoeffMatrix = None) -> bool:
+def kelly_check(p: Partition, i: int, j: int) -> bool:
     """(|A| - size_j) * count(A, j) = sum over e in A of count(A-e, j),
     the single-element-deletion counting identity, read off matrix rows."""
-    matrix = matrix or coeff_matrix(p)
+    matrix = p.matrix
     if matrix.member_sizes[j] >= matrix.member_sizes[i]:
         raise InputError("deletion identity needs size_j < size_i")
     a = p.blocks[i][0]
@@ -70,12 +70,11 @@ def kelly_check(p: Partition, i: int, j: int, matrix: CoeffMatrix = None) -> boo
     return True
 
 
-def e_block_entry(p: Partition, i: int, j: int, r: int,
-                  matrix: CoeffMatrix = None) -> int:
+def e_block_entry(p: Partition, i: int, j: int, r: int) -> int:
     """Number of members of block j meeting a member of block i in exactly
     r points, via the alternating binomial formula over all blocks;
     checked against a direct count and for block-constancy."""
-    matrix = matrix or coeff_matrix(p)
+    matrix = p.matrix
     ent, sizes, comp = matrix.entries, matrix.member_sizes, matrix.comp_map
     total = 0
     for u in range(matrix.s):
@@ -93,7 +92,7 @@ def e_block_entry(p: Partition, i: int, j: int, r: int,
     return total
 
 
-def lovasz_check(p: Partition, matrix: CoeffMatrix = None):
+def lovasz_check(p: Partition):
     """No reconstruction pairs above half the ground set; and on any pair
     that does exist, the zero-entry contradiction mechanism evaluates to
     the stated sign.
@@ -102,11 +101,11 @@ def lovasz_check(p: Partition, matrix: CoeffMatrix = None):
     n/2 is found (that would falsify the bound) or a mechanism value is
     off.
     """
-    matrix = matrix or coeff_matrix(p)
+    matrix = p.matrix
     n = p.g.n
     mechanism = []
     for k in set(matrix.member_sizes):
-        pairs = reconstruction_pairs(p, k, matrix)
+        pairs = reconstruction_pairs(p, k)
         if 2 * k > n and pairs:
             raise VerificationFailure(
                 f"reconstruction pair at size {k} > n/2: blocks "
@@ -130,13 +129,13 @@ def lovasz_check(p: Partition, matrix: CoeffMatrix = None):
             level = [i for i in range(matrix.s) if matrix.member_sizes[i] == k]
             for i in level:
                 for j in level:
-                    if e_block_entry(p, i, j, 0, matrix) != 0:
+                    if e_block_entry(p, i, j, 0) != 0:
                         raise VerificationFailure(
                             f"vanishing r=0 operator has nonzero entry at ({i},{j})")
     return mechanism
 
 
-def muller_check(p: Partition, pair: ReconPair, matrix: CoeffMatrix = None):
+def muller_check(p: Partition, pair: ReconPair):
     """The order bound on any reconstruction pair: for every block j whose
     members occur as strict subsets of the pair's sets,
     2^(k - size_j - 1) <= upward count from block j into the pair's block.
@@ -145,7 +144,7 @@ def muller_check(p: Partition, pair: ReconPair, matrix: CoeffMatrix = None):
     when a proof-scope instance fails.  Blocks outside the scope (no
     member inside A) are reported, not asserted.
     """
-    matrix = matrix or coeff_matrix(p)
+    matrix = p.matrix
     k = pair.size
     results = []
     for j in range(matrix.s):
@@ -153,7 +152,7 @@ def muller_check(p: Partition, pair: ReconPair, matrix: CoeffMatrix = None):
             continue
         in_scope = matrix.entries[pair.a][j] > 0
         bound = 2 ** (k - matrix.member_sizes[j] - 1)
-        up = upward_count(p, j, pair.a, matrix)
+        up = upward_count(p, j, pair.a)
         if in_scope and bound > up:
             raise VerificationFailure(
                 f"order bound fails: 2^{k - matrix.member_sizes[j] - 1} = {bound} "
@@ -194,19 +193,17 @@ def lovasz_tight_instance(r: int, pad: int = 0):
     ia, ib = part.block_of[a_mask], part.block_of[b_mask]
     if ia == ib:
         raise VerificationFailure("tight pair collapsed into one orbit")
-    matrix = coeff_matrix(part)
-    pairs = reconstruction_pairs(part, r, matrix)
+    pairs = reconstruction_pairs(part, r)
     if not any({q.a, q.b} == {ia, ib} for q in pairs):
         raise VerificationFailure("tight pair does not have equal decks")
     return group, a_mask, b_mask
 
 
-def exact_intersection_counts(p: Partition, a_mask: int, b: int, s: int,
-                              matrix: CoeffMatrix = None) -> int:
+def exact_intersection_counts(p: Partition, a_mask: int, b: int, s: int) -> int:
     """Number of members V of block b with V intersect A in block s,
     computed by brute force and by the alternating block formula; the two
     must agree."""
-    matrix = matrix or coeff_matrix(p)
+    matrix = p.matrix
     direct = sum(1 for v in p.blocks[b] if p.block_of[v & a_mask] == s)
     ent, sizes, comp = matrix.entries, matrix.member_sizes, matrix.comp_map
     ia = p.block_of[a_mask]
@@ -222,13 +219,12 @@ def exact_intersection_counts(p: Partition, a_mask: int, b: int, s: int,
     return direct
 
 
-def intersection_sum_rule(p: Partition, a_mask: int, b: int, t: int,
-                          matrix: CoeffMatrix = None) -> bool:
+def intersection_sum_rule(p: Partition, a_mask: int, b: int, t: int) -> bool:
     """sum over blocks S of count(S,T) * census(A,B,S)
     equals count(A,T) * upward(T -> B)."""
-    matrix = matrix or coeff_matrix(p)
+    matrix = p.matrix
     ent, comp = matrix.entries, matrix.comp_map
-    lhs = sum(ent[s][t] * exact_intersection_counts(p, a_mask, b, s, matrix)
+    lhs = sum(ent[s][t] * exact_intersection_counts(p, a_mask, b, s)
               for s in range(matrix.s) if ent[s][t])
     rhs = ent[p.block_of[a_mask]][t] * ent[comp[t]][comp[b]]
     if lhs != rhs:
@@ -236,15 +232,14 @@ def intersection_sum_rule(p: Partition, a_mask: int, b: int, t: int,
     return True
 
 
-def intersection_difference_rule(p: Partition, pair: ReconPair, t: int,
-                                 matrix: CoeffMatrix = None) -> bool:
+def intersection_difference_rule(p: Partition, pair: ReconPair, t: int) -> bool:
     """For a reconstruction pair (A's block, B's block):
     census(A, orbit(A), T) - census(B, orbit(A), T) = (-1)^(|A| - size_T) count(A,T)."""
-    matrix = matrix or coeff_matrix(p)
+    matrix = p.matrix
     a_mask = p.blocks[pair.a][0]
     b_mask = p.blocks[pair.b][0]
-    lhs = (exact_intersection_counts(p, a_mask, pair.a, t, matrix)
-           - exact_intersection_counts(p, b_mask, pair.a, t, matrix))
+    lhs = (exact_intersection_counts(p, a_mask, pair.a, t)
+           - exact_intersection_counts(p, b_mask, pair.a, t))
     rhs = (-1) ** (pair.size - matrix.member_sizes[t]) * matrix.entries[pair.a][t]
     if lhs != rhs:
         raise VerificationFailure(f"census difference rule fails at T={t}: {lhs} != {rhs}")
@@ -267,12 +262,8 @@ def maynard_siemons_index(group: PermGroup) -> int:
     if not acts_freely(group):
         raise InputError("group does not act freely (a non-identity element has a fixed point)")
     part = orbit_partition(group)
-    matrix = coeff_matrix(part)
-    worst = 0
-    for k in sorted(set(matrix.member_sizes)):
-        if reconstruction_pairs(part, k, matrix):
-            worst = k
-    index = worst + 1
+    index = 1 + max((k for k in set(part.matrix.member_sizes)
+                     if reconstruction_pairs(part, k)), default=0)
     if index > 5:
         raise VerificationFailure(f"free action with reconstruction index {index} > 5")
     return index

@@ -6,7 +6,7 @@ but not the orbit partition of any permutation group.
 import time
 from dataclasses import dataclass, field
 
-from goa.errors import InputError
+from goa.errors import InputError, VerificationFailure
 from goa.partition import (Partition, merge_blocks, verify_goa_closure,
                            verify_strongly_regular)
 from goa.perms import (close_generators, orbit_partition, parse_permutation,
@@ -108,7 +108,8 @@ def enumerate_strongly_regular(g: GroundSet, budget_seconds=None):
             return
         if k > n - k:
             part = Partition.from_blocks(g, [members for _, members in fixed])
-            assert verify_strongly_regular(part).ok
+            if not verify_strongly_regular(part).ok:
+                raise VerificationFailure("search produced a non-strongly-regular partition")
             results.append(part)
             return
         for blocks_k in layer_partitions(k, fixed):

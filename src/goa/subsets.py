@@ -12,6 +12,7 @@ full - x, the complement of x: reversal is complementation, and it turns
 superset sums into subset sums.
 """
 
+import re
 from dataclasses import dataclass
 from math import comb
 
@@ -115,8 +116,11 @@ def binom(n: int, k: int) -> int:
 
 
 def parse_subset(text: str, g: GroundSet) -> int:
-    """Parse the subset syntax: increasing 1-based integers, or '-' for the empty set."""
+    """Parse the subset syntax: increasing 1-based integers, or '-' for the
+    empty set.  A blank member is an error, not the empty set."""
     text = text.strip()
+    if not text:
+        raise InputError("empty subset (the empty set is written '-')")
     if text == "-":
         return 0
     parts = text.split()
@@ -138,3 +142,28 @@ def format_subset(mask: int) -> str:
     if mask == 0:
         return "-"
     return " ".join(str(e) for e in elements_of(mask))
+
+
+def parse_header(text: str, kind: str):
+    """(GroundSet, body) of an input file whose first line that is neither
+    blank nor a '#' comment is 'n <int>'; body lists (line number, stripped
+    line) for each later such line.  kind names the file in errors."""
+    g = None
+    body = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if g is not None:
+            body.append((lineno, line))
+            continue
+        m = re.fullmatch(r"n\s+(\d+)", line)
+        if not m:
+            raise InputError(f"line {lineno}: expected 'n <int>' header, got {line!r}")
+        try:
+            g = GroundSet(int(m.group(1)))
+        except InputError as exc:
+            raise InputError(f"line {lineno}: {exc}") from None
+    if g is None:
+        raise InputError(f"{kind} file has no 'n <int>' header")
+    return g, body

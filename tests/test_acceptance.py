@@ -13,7 +13,7 @@ from goa import GroundSet, Partition
 from goa.digraphs import graph_kelly_check, hypomorphy_search
 from goa.identities import identity_suite
 from goa.incidence import enumerate_incidence_functions, verify_bilinear_decomposition
-from goa.partition import (coeff_matrix, mnukhin_check, structure_constants,
+from goa.partition import (mnukhin_check, structure_constants,
                            upward_count, verify_goa_closure, verify_strongly_regular)
 from goa.perms import close_generators, orbit_partition
 from goa.recon import (intersection_difference_rule, intersection_sum_rule,
@@ -100,10 +100,10 @@ def test_criterion_5_lovasz_suite():
     found_pairs = []
     for grp in _corpus_random_groups():
         part = orbit_partition(grp)
-        m = coeff_matrix(part)
-        lovasz_check(part, m)        # raises on a pair above n/2
+        m = part.matrix
+        lovasz_check(part)        # raises on a pair above n/2
         for k in sorted(set(m.member_sizes)):
-            found_pairs.extend((part, m, q) for q in reconstruction_pairs(part, k, m))
+            found_pairs.extend((part, q) for q in reconstruction_pairs(part, k))
     for n in (1, 2, 3, 4):
         for part in enumerate_strongly_regular(GroundSet(n))[0]:
             lovasz_check(part)
@@ -112,12 +112,12 @@ def test_criterion_5_lovasz_suite():
             grp, a, b = lovasz_tight_instance(r, pad)
             assert grp.order == 2 ** (r - 1)
             part = orbit_partition(grp)
-            m = coeff_matrix(part)
+            m = part.matrix
             ia, ib = part.block_of[a], part.block_of[b]
             assert ia != ib
             assert any({q.a, q.b} == {ia, ib}
-                       for q in reconstruction_pairs(part, r, m))
-            lovasz_check(part, m)
+                       for q in reconstruction_pairs(part, r))
+            lovasz_check(part)
     test_criterion_5_lovasz_suite.found_pairs = found_pairs
     elapsed = time.monotonic() - start
     print(f"  random-group pairs collected: {len(found_pairs)}")
@@ -130,20 +130,20 @@ def test_criterion_6_muller_suite():
     if pairs is None:
         test_criterion_5_lovasz_suite()
         pairs = test_criterion_5_lovasz_suite.found_pairs
-    for part, m, pair in pairs:
-        muller_check(part, pair, m)
+    for part, pair in pairs:
+        muller_check(part, pair)
     grp, a, b = lovasz_tight_instance(3)
     part = orbit_partition(grp)
-    m = coeff_matrix(part)
-    pair = next(q for q in reconstruction_pairs(part, 3, m)
+    m = part.matrix
+    pair = next(q for q in reconstruction_pairs(part, 3)
                 if {q.a, q.b} == {part.block_of[a], part.block_of[b]})
-    rows = muller_check(part, pair, m)
+    rows = muller_check(part, pair)
     empty_row = next(r for r in rows if r[0] == part.block_of[0])
     assert empty_row[1] == 4 == empty_row[2]
     for t in range(m.s):
-        intersection_sum_rule(part, a, pair.a, t, m)
+        intersection_sum_rule(part, a, pair.a, t)
         if m.member_sizes[t] <= 3:
-            intersection_difference_rule(part, pair, t, m)
+            intersection_difference_rule(part, pair, t)
     _report("6 order bound suite", time.monotonic() - start)
 
 
@@ -180,16 +180,16 @@ def test_criterion_7_equivalence_and_matrix_laws():
         assert srp.ok == goa.closed
         if not srp.ok:
             continue
-        m = coeff_matrix(p)
+        m = p.matrix
         for i in range(m.s):
             for j in range(m.s):
-                upward_count(p, i, j, m)       # three-expression agreement
+                upward_count(p, i, j)       # three-expression agreement
         for power in (-2, -1, 2, 3):
-            mnukhin_check(p, power, m)
+            mnukhin_check(p, power)
         if p.g.n <= 4:
             for i in range(m.s):
                 for j in range(i, m.s):
-                    structure_constants(p, i, j, m)
+                    structure_constants(p, i, j)
     elapsed = time.monotonic() - start
     print(f"  corpus size: {len(corpus)} (negatives: {negatives})")
     _report("7 regularity/closure equivalence and matrix laws", elapsed)

@@ -145,15 +145,29 @@ def test_unknown_flag_is_usage_error(tmp_path):
     lambda d: ("dimensions", "--n", "0"),
     lambda d: ("recon", "--partition", str(d / "example.txt"), "--size", "-1"),
     lambda d: ("recon", "--partition", str(d / "example.txt"), "--size", "4"),
+    lambda d: ("verify", "--partition", str(d / "trailing.txt")),
 ], ids=["directory", "non-utf8-partition", "non-utf8-group", "negative-pad",
-        "dimensions-negative", "dimensions-zero", "recon-size-negative", "recon-size-above-n"])
+        "dimensions-negative", "dimensions-zero", "recon-size-negative", "recon-size-above-n",
+        "trailing-semicolon"])
 def test_crashes_are_input_errors(tmp_path, capsys, argv_of):
     (tmp_path / "latin1.txt").write_bytes("n 3\n(1,2)\n# caf\xe9\n".encode("latin-1"))
     (tmp_path / "example.txt").write_text(EXAMPLE)
+    (tmp_path / "trailing.txt").write_text("n 1\n1 ;\n")
     code, out, err = run(capsys, *argv_of(tmp_path))
     assert code == 2
     assert out == ""
     assert err.startswith("input error:")
+
+
+def test_internal_error_exits_4(monkeypatch, capsys):
+    def broken():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("goa.cli.build_counterexample", broken)
+    code, out, err = run(capsys, "counterexample")
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 def test_coeff_power_zero_rejected_before_output(tmp_path, capsys):

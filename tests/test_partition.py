@@ -71,7 +71,7 @@ def test_axiom_three_witness():
 # -- coefficient matrix -----------------------------------------------------
 
 def test_coeff_matrix_example_entries(example_partition):
-    m = coeff_matrix(example_partition)
+    m = example_partition.matrix
     pair_block = 1     # {1},{2}
     top_pair = 3       # {1,2}
     assert m.entries[top_pair][pair_block] == 2
@@ -84,13 +84,15 @@ def test_coeff_matrix_requires_srp():
     p = Partition.from_blocks(g, [[0, mask_of([1])], [mask_of([2]), mask_of([1, 2])]])
     with pytest.raises(InputError):
         coeff_matrix(p)
+    with pytest.raises(InputError):
+        p.matrix
 
 
 def test_coeff_row_sums_are_binomials():
     rng = random.Random(2)
     for _ in range(6):
         part = orbit_partition(random_group(rng, rng.randint(3, 6)))
-        m = coeff_matrix(part)
+        m = part.matrix
         for i in range(m.s):
             for k in range(m.member_sizes[i] + 1):
                 total = sum(m.entries[i][j] for j in range(m.s) if m.member_sizes[j] == k)
@@ -99,21 +101,21 @@ def test_coeff_row_sums_are_binomials():
 
 
 def test_upward_count_example(example_partition):
-    m = coeff_matrix(example_partition)
-    assert upward_count(example_partition, 1, 3, m) == 1     # {1} below {1,2}
-    assert upward_count(example_partition, 0, 4, m) == 2     # {} below both 2-sets
+    m = example_partition.matrix
+    assert upward_count(example_partition, 1, 3) == 1     # {1} below {1,2}
+    assert upward_count(example_partition, 0, 4) == 2     # {} below both 2-sets
     for i in range(m.s):
-        assert upward_count(example_partition, i, i, m) == 1
+        assert upward_count(example_partition, i, i) == 1
 
 
 def test_upward_count_three_routes_on_random_orbits():
     rng = random.Random(5)
     for _ in range(5):
         part = orbit_partition(random_group(rng, rng.randint(3, 5)))
-        m = coeff_matrix(part)
+        m = part.matrix
         for i in range(m.s):
             for j in range(m.s):
-                upward_count(part, i, j, m)   # raises on any route disagreement
+                upward_count(part, i, j)   # raises on any route disagreement
 
 
 def test_counting_relation():
@@ -121,7 +123,7 @@ def test_counting_relation():
     rng = random.Random(8)
     for _ in range(5):
         part = orbit_partition(random_group(rng, rng.randint(3, 6)))
-        m = coeff_matrix(part)
+        m = part.matrix
         for i in range(m.s):
             for j in range(m.s):
                 up = m.entries[m.comp_map[i]][m.comp_map[j]]
@@ -170,28 +172,27 @@ def test_closure_matches_axioms_on_negatives():
 # -- structure constants -----------------------------------------------------
 
 def test_structure_constants_hand_example(example_partition):
-    m = coeff_matrix(example_partition)
     # (x1+x2)^2 = (x1+x2) + 2 x1x2
-    vec = structure_constants(example_partition, 1, 1, m)
+    vec = structure_constants(example_partition, 1, 1)
     assert vec == (0, 1, 0, 2, 0, 0)
 
 
 def test_structure_constants_unit_and_top(example_partition):
-    m = coeff_matrix(example_partition)
+    m = example_partition.matrix
     for i in range(m.s):
-        vec = structure_constants(example_partition, 0, i, m)
+        vec = structure_constants(example_partition, 0, i)
         assert vec == tuple(1 if j == i else 0 for j in range(m.s))
-    assert structure_constants(example_partition, 5, 5, m) == (0, 0, 0, 0, 0, 1)
+    assert structure_constants(example_partition, 5, 5) == (0, 0, 0, 0, 0, 1)
 
 
 def test_structure_constants_match_direct_multiplication():
     rng = random.Random(21)
     for _ in range(4):
         part = orbit_partition(random_group(rng, rng.randint(3, 5)))
-        m = coeff_matrix(part)
+        m = part.matrix
         for i in range(m.s):
             for j in range(i, m.s):
-                structure_constants(part, i, j, m)   # raises on route mismatch
+                structure_constants(part, i, j)   # raises on route mismatch
 
 
 # -- matrix power law ---------------------------------------------------------
@@ -207,7 +208,7 @@ def test_power_law_rejects_zero(example_partition):
 
 
 def test_power_law_square_by_hand(example_partition):
-    cm = coeff_matrix(example_partition)
+    cm = example_partition.matrix
     from goa.linalg import mat_mul
     sq = mat_mul([list(r) for r in cm.entries], [list(r) for r in cm.entries])
     for i in range(cm.s):
@@ -327,3 +328,5 @@ def test_partition_file_errors():
         parse_partition_text("n 1\n-\n- ; 1\n")
     with pytest.raises(InputError, match="header"):
         parse_partition_text("- ; 1\n")
+    with pytest.raises(InputError, match="line 2: empty subset"):
+        parse_partition_text("n 1\n1 ;\n")     # trailing ';' is not {-, 1}

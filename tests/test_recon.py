@@ -5,7 +5,7 @@ import pytest
 from conftest import random_group
 from goa import GroundSet
 from goa.errors import InputError
-from goa.partition import Partition, coeff_matrix
+from goa.partition import Partition, coeff_matrix, upward_count
 from goa.perms import close_generators, orbit_partition, parse_permutation
 from goa.recon import (acts_freely, deck, e_block_entry,
                        exact_intersection_counts, intersection_difference_rule,
@@ -27,12 +27,11 @@ def brute_deck(p, i):
 
 
 def test_deck_example(example_partition):
-    m = coeff_matrix(example_partition)
-    d = deck(example_partition, 4, m)     # block {1,3},{2,3}
+    d = deck(example_partition, 4)     # block {1,3},{2,3}
     assert d.smaller_blocks == (0, 1, 2)
     assert d.entries == (1, 1, 1)
-    assert deck(example_partition, 0, m).entries == ()
-    top = deck(example_partition, 5, m)
+    assert deck(example_partition, 0).entries == ()
+    top = deck(example_partition, 5)
     assert top.smaller_blocks == (0, 1, 2, 3, 4)
 
 
@@ -40,27 +39,25 @@ def test_deck_matches_brute_force():
     rng = random.Random(2)
     for _ in range(6):
         part = orbit_partition(random_group(rng, rng.randint(3, 6)))
-        m = coeff_matrix(part)
+        m = part.matrix
         for i in range(m.s):
-            d = deck(part, i, m)
+            d = deck(part, i)
             brute = brute_deck(part, i)
             assert dict(zip(d.smaller_blocks, d.entries)) == brute
 
 
 def test_example_pairs_only_at_singletons(example_partition):
-    m = coeff_matrix(example_partition)
     # the two singleton-level blocks share the forced trivial deck [1]
-    assert [(q.a, q.b) for q in reconstruction_pairs(example_partition, 1, m)] == [(1, 2)]
+    assert [(q.a, q.b) for q in reconstruction_pairs(example_partition, 1)] == [(1, 2)]
     for k in (0, 2, 3):
-        assert reconstruction_pairs(example_partition, k, m) == []
+        assert reconstruction_pairs(example_partition, k) == []
 
 
 def test_tight_instance_r2():
     group, a, b = lovasz_tight_instance(2)
     assert group.order == 2
     part = orbit_partition(group)
-    m = coeff_matrix(part)
-    pairs = reconstruction_pairs(part, 2, m)
+    pairs = reconstruction_pairs(part, 2)
     blocks = {frozenset((q.a, q.b)) for q in pairs}
     assert frozenset((part.block_of[a], part.block_of[b])) in blocks
     assert set(part.blocks[part.block_of[a]]) == {mask_of([1, 4]), mask_of([2, 3])}
@@ -82,23 +79,23 @@ def test_tight_instance_rejects_small_r():
 
 
 def test_kelly_check_examples(example_partition):
-    m = coeff_matrix(example_partition)
-    assert kelly_check(example_partition, 3, 1, m)   # 2*1 = 1+1 on A={1,2}
+    m = example_partition.matrix
+    assert kelly_check(example_partition, 3, 1)   # 2*1 = 1+1 on A={1,2}
     for i in range(m.s):
         for j in range(m.s):
             if m.member_sizes[j] < m.member_sizes[i]:
-                assert kelly_check(example_partition, i, j, m)
+                assert kelly_check(example_partition, i, j)
 
 
 def test_kelly_check_exhaustive_random():
     rng = random.Random(6)
     for _ in range(6):
         part = orbit_partition(random_group(rng, rng.randint(3, 6)))
-        m = coeff_matrix(part)
+        m = part.matrix
         for i in range(m.s):
             for j in range(m.s):
                 if m.member_sizes[j] < m.member_sizes[i]:
-                    kelly_check(part, i, j, m)
+                    kelly_check(part, i, j)
 
 
 def test_lovasz_on_random_groups():
@@ -111,8 +108,7 @@ def test_lovasz_on_random_groups():
 def test_lovasz_mechanism_on_tight_pair():
     group, a, b = lovasz_tight_instance(3)
     part = orbit_partition(group)
-    m = coeff_matrix(part)
-    mech = lovasz_check(part, m)
+    mech = lovasz_check(part)
     assert ((part.block_of[a], part.block_of[b], 3, -1) in mech
             or (part.block_of[b], part.block_of[a], 3, -1) in mech)
 
@@ -120,18 +116,16 @@ def test_lovasz_mechanism_on_tight_pair():
 def test_tight_pair_padded_persists():
     group, a, b = lovasz_tight_instance(3, pad=1)
     part = orbit_partition(group)
-    m = coeff_matrix(part)
-    pairs = reconstruction_pairs(part, 3, m)
+    pairs = reconstruction_pairs(part, 3)
     assert any({q.a, q.b} == {part.block_of[a], part.block_of[b]} for q in pairs)
 
 
 def test_muller_equality_on_tight_r3():
     group, a, b = lovasz_tight_instance(3)
     part = orbit_partition(group)
-    m = coeff_matrix(part)
-    pair = next(q for q in reconstruction_pairs(part, 3, m)
+    pair = next(q for q in reconstruction_pairs(part, 3)
                 if {q.a, q.b} == {part.block_of[a], part.block_of[b]})
-    rows = muller_check(part, pair, m)
+    rows = muller_check(part, pair)
     empty_block = part.block_of[0]
     row = next(r for r in rows if r[0] == empty_block)
     assert row[1] == 4 == row[2]     # 2^(3-1) = orbit size, equality
@@ -146,10 +140,9 @@ def test_muller_proof_scope_is_necessary():
     # muller_check must flag them rather than assert them
     group, a, b = lovasz_tight_instance(3)
     part = orbit_partition(group)
-    m = coeff_matrix(part)
-    pair = next(q for q in reconstruction_pairs(part, 3, m)
+    pair = next(q for q in reconstruction_pairs(part, 3)
                 if {q.a, q.b} == {part.block_of[a], part.block_of[b]})
-    rows = muller_check(part, pair, m)
+    rows = muller_check(part, pair)
     assert any(not scope and bound > up for _, bound, up, scope in rows)
     assert all(bound <= up for _, bound, up, scope in rows if scope)
 
@@ -158,47 +151,47 @@ def test_muller_holds_on_all_found_pairs():
     rng = random.Random(14)
     for _ in range(8):
         part = orbit_partition(random_group(rng, rng.randint(4, 6)))
-        m = coeff_matrix(part)
+        m = part.matrix
         for k in sorted(set(m.member_sizes)):
-            for pair in reconstruction_pairs(part, k, m):
-                muller_check(part, pair, m)
+            for pair in reconstruction_pairs(part, k):
+                muller_check(part, pair)
 
 
 def test_e_block_entries_match_brute_force():
     rng = random.Random(20)
     for _ in range(4):
         part = orbit_partition(random_group(rng, rng.randint(3, 5)))
-        m = coeff_matrix(part)
+        m = part.matrix
         for i in range(m.s):
             for j in range(m.s):
                 for r in range(min(m.member_sizes[i], m.member_sizes[j]) + 1):
-                    e_block_entry(part, i, j, r, m)   # self-checking
+                    e_block_entry(part, i, j, r)   # self-checking
 
 
 def test_intersection_census_trivial_partition():
     g = GroundSet(2)
     p = Partition.from_blocks(g, [[m] for m in g.masks()])
-    m = coeff_matrix(p)
+    m = p.matrix
     a = mask_of([1])
     b_block = p.block_of[mask_of([1])]
-    assert exact_intersection_counts(p, a, b_block, p.block_of[0], m) == 0
-    assert exact_intersection_counts(p, a, b_block, b_block, m) == 1
+    assert exact_intersection_counts(p, a, b_block, p.block_of[0]) == 0
+    assert exact_intersection_counts(p, a, b_block, b_block) == 1
 
 
 def test_intersection_rules_on_tight_instance():
     group, a, b = lovasz_tight_instance(3)
     part = orbit_partition(group)
-    m = coeff_matrix(part)
-    pair = next(q for q in reconstruction_pairs(part, 3, m)
+    m = part.matrix
+    pair = next(q for q in reconstruction_pairs(part, 3)
                 if {q.a, q.b} == {part.block_of[a], part.block_of[b]})
     for t in range(m.s):
-        intersection_sum_rule(part, a, pair.a, t, m)
+        intersection_sum_rule(part, a, pair.a, t)
         if m.member_sizes[t] <= 3:
-            intersection_difference_rule(part, pair, t, m)
+            intersection_difference_rule(part, pair, t)
     empty = part.block_of[0]
     # difference at the empty pattern block is (-1)^3 * 1
-    lhs = (exact_intersection_counts(part, a, pair.a, empty, m)
-           - exact_intersection_counts(part, b, pair.a, empty, m))
+    lhs = (exact_intersection_counts(part, a, pair.a, empty)
+           - exact_intersection_counts(part, b, pair.a, empty))
     assert lhs == -1
 
 
@@ -209,6 +202,30 @@ def test_free_index_cycles():
         group = close_generators(g, [cycle])
         assert acts_freely(group)
         assert maynard_siemons_index(group) <= 5
+
+
+def test_coeff_matrix_built_once_per_partition(monkeypatch):
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return coeff_matrix(p)
+
+    monkeypatch.setattr("goa.partition.coeff_matrix", counting)
+    group, a, b = lovasz_tight_instance(3)
+    part = orbit_partition(group)
+    calls.clear()
+    pair = next(q for q in reconstruction_pairs(part, 3)
+                if {q.a, q.b} == {part.block_of[a], part.block_of[b]})
+    deck(part, pair.a)
+    lovasz_check(part)
+    muller_check(part, pair)
+    upward_count(part, 0, pair.a)
+    e_block_entry(part, pair.a, pair.b, 0)
+    assert len(calls) == 1 and calls[0] is part
+    # an equal but distinct partition object builds its own matrix
+    orbit_partition(group).matrix
+    assert len(calls) == 2
 
 
 def test_free_index_trivial_group():

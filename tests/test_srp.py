@@ -1,7 +1,7 @@
 import pytest
 
 from goa import GroundSet, Partition
-from goa.errors import InputError
+from goa.errors import InputError, VerificationFailure
 from goa.partition import verify_goa_closure, verify_strongly_regular
 from goa.perms import close_generators, orbit_partition, parse_permutation
 from goa.srp import (build_counterexample, enumerate_strongly_regular,
@@ -96,6 +96,14 @@ def test_counterexample_certificate_details():
     # merged block really is the union of the two 4-set orbits
     merged_block = part.blocks[part.block_of[mask_of([1, 3, 5, 7])]]
     assert mask_of([1, 3, 5, 8]) in merged_block
+
+
+def test_enumeration_cross_check_raises_not_asserts(monkeypatch):
+    from goa.partition import SrpReport
+    monkeypatch.setattr("goa.srp.verify_strongly_regular",
+                        lambda p: SrpReport(True, True, False))
+    with pytest.raises(VerificationFailure):
+        enumerate_strongly_regular(GroundSet(2))
 
 
 def test_counterexample_file_round_trip():

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from goa.errors import InputError
 from goa.subsets import (GroundSet, binom, complement_mask, enumerate_by_size,
-                         format_subset, mask_of, parse_subset, popcount, submasks,
-                         subset_sum)
+                         format_subset, mask_of, parse_header, parse_subset, popcount,
+                         submasks, subset_sum)
 
 
 def test_enumerate_examples():
@@ -66,6 +66,23 @@ def test_parse_subset_errors():
         parse_subset("5", g)
     with pytest.raises(InputError):
         parse_subset("x", g)
+    for blank in ("", "  "):       # the empty set is written '-'
+        with pytest.raises(InputError, match="empty subset"):
+            parse_subset(blank, g)
+
+
+def test_parse_header_body_and_errors():
+    g, body = parse_header("# c\n\nn 3\n  1 2 \n# skip\n3\n", "partition")
+    assert g == GroundSet(3)
+    assert body == [(4, "1 2"), (6, "3")]
+    for text, message in [
+        ("x 3\n", "line 1: expected 'n <int>' header, got 'x 3'"),
+        ("\nn 0\n", "line 2: ground set size must be in 1..20, got 0"),
+        ("# only a comment\n", "group file has no 'n <int>' header"),
+    ]:
+        with pytest.raises(InputError) as exc:
+            parse_header(text, "group")
+        assert str(exc.value) == message
 
 
 def test_ground_set_bounds():
