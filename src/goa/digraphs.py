@@ -2,34 +2,22 @@
 
 The ground set is the edge set (unordered pairs for graphs, ordered
 pairs for digraphs) of a complete (di)graph on f vertices; a (di)graph
-is an edge-subset mask.  Isomorphism is brute force over the f!
-vertex permutations; hypomorphy classes group equal multisets of
-vertex-deleted decks.
+is an edge-subset mask.  The isomorphism classes are the orbits of
+S_f, lifted to edge indices, on the edge masks (perms.orbit_partition);
+hypomorphy classes group equal multisets of vertex-deleted decks.
 """
 
 from dataclasses import dataclass, field
-from itertools import permutations
 
 from goa.errors import InputError, VerificationFailure
+from goa.perms import close_generators, orbit_partition
+from goa.subsets import GroundSet
 
 
 def edge_table(f: int, directed: bool):
     if directed:
         return [(i, j) for i in range(1, f + 1) for j in range(1, f + 1) if i != j]
     return [(i, j) for i in range(1, f + 1) for j in range(i + 1, f + 1)]
-
-
-def _edge_perms(f, edges, directed):
-    """Each vertex permutation as an edge-index map."""
-    index = {e: i for i, e in enumerate(edges)}
-    out = []
-    for sigma in permutations(range(1, f + 1)):
-        mapping = []
-        for (i, j) in edges:
-            a, b = sigma[i - 1], sigma[j - 1]
-            mapping.append(index[(a, b) if directed or a < b else (b, a)])
-        out.append(mapping)
-    return out
 
 
 class EdgeWorld:
@@ -44,24 +32,24 @@ class EdgeWorld:
         self.directed = directed
         self.edges = edge_table(f, directed)
         self.n = len(self.edges)
-        self._perms = _edge_perms(f, self.edges, directed)
         self.incident = [0] * (f + 1)
         for idx, (i, j) in enumerate(self.edges):
             self.incident[i] |= 1 << idx
             self.incident[j] |= 1 << idx
-        self.canon = [0] * (1 << self.n)
-        for mask in range(1 << self.n):
-            best = None
-            for perm in self._perms:
-                img = 0
-                m = mask
-                while m:
-                    bit = m & -m
-                    img |= 1 << perm[bit.bit_length() - 1]
-                    m ^= bit
-                if best is None or img < best:
-                    best = img
-            self.canon[mask] = best
+        # S_f is generated by (1,2) and (1,...,f); lift each to a
+        # permutation of the 1-based edge indices.
+        index = {e: k for k, e in enumerate(self.edges, 1)}
+
+        def lift(sigma):
+            pairs = ((sigma[i - 1], sigma[j - 1]) for i, j in self.edges)
+            return tuple(index[(a, b) if directed or a < b else (b, a)] for a, b in pairs)
+
+        swap = (2, 1) + tuple(range(3, f + 1))
+        rotate = tuple(range(2, f + 1)) + (1,)
+        group = close_generators(GroundSet(self.n), [lift(swap), lift(rotate)])
+        classes = orbit_partition(group)
+        # canon[m]: the least edge mask isomorphic to m
+        self.canon = [classes.blocks[b][0] for b in classes.block_of]
 
     def delete_vertex(self, mask, v):
         return mask & ~self.incident[v]

@@ -112,12 +112,12 @@ def identity_suite(g: GroundSet, seed: int = DEFAULT_SEED):
     for k in range(n + 1):
         for l in range(n + 1):
             ops = [e_klr(g, k, l, r) for r in range(min(k, l) + 1)]
+            level_sum = Poly.block_sum(g, enumerate_by_size(g, l))
             for a in enumerate_by_size(g, k):
                 total = Poly.zero(g)
                 for op in ops:
                     total = total + op(Poly.term(g, a))
-                expected = Poly.block_sum(g, enumerate_by_size(g, l))
-                if total != expected:
+                if total != level_sum:
                     ok = False
     add("intersection strata sum to the full level map", ok)
 

@@ -10,6 +10,9 @@ coefficient matrix; it doubles as the matrix of comp . ell . comp on the
 block basis, and that identification is cross-checked, not assumed.
 A partition builds its coefficient matrix once, on first use of
 Partition.matrix; every function here and in goa.recon reads it there.
+Every "is this mask-indexed vector constant on each block" question
+(the closure test, the coefficient-matrix cross-check and the direct
+structure constants) goes through Partition.block_values.
 """
 
 import warnings
@@ -19,7 +22,7 @@ from fractions import Fraction
 from goa.errors import InputError, VerificationFailure
 from goa.linalg import mat_inverse, mat_pow
 from goa.operators import complementation, derivation, ell_power
-from goa.poly import EPS, P, Poly
+from goa.poly import EPS, Poly
 from goa.subsets import GroundSet, format_subset, parse_header, parse_subset, popcount, submasks
 
 
@@ -76,6 +79,16 @@ class Partition:
     def __hash__(self):
         return hash((self.g, self.blocks))
 
+    def block_values(self, vec):
+        """(values, bad): values[i] is vec at the first member of block i;
+        bad is the first block on which vec is not constant, else None."""
+        values = [vec[block[0]] for block in self.blocks]
+        if tuple(map(values.__getitem__, self.block_of)) == tuple(vec):
+            return values, None
+        bad = next(i for i, block in enumerate(self.blocks)
+                   if any(vec[m] != values[i] for m in block))
+        return values, bad
+
     def member_size(self, i):
         """Common member cardinality of block i (None if mixed)."""
         sizes = {popcount(m) for m in self.blocks[i]}
@@ -129,17 +142,17 @@ def _downward_profile(p: Partition, mask):
 
 
 def verify_strongly_regular(p: Partition) -> SrpReport:
-    """All three axioms evaluated independently; the witness is the first
-    failing axiom's counterexample.  Counts are attached only when all
-    axioms hold (they are block-constant exactly then)."""
-    witnesses = []
+    """All three axioms evaluated independently, in order; the witness is
+    the first failing axiom's counterexample.  Counts are attached only when
+    all axioms hold (they are block-constant exactly then)."""
+    witness = None
 
     size_ok = True
     for i, block in enumerate(p.blocks):
         if p.member_size(i) is None:
             size_ok = False
             a, b = min(block, key=popcount), max(block, key=popcount)
-            witnesses.append((1, ("axiom-1", i, format_subset(a), format_subset(b))))
+            witness = ("axiom-1", i, format_subset(a), format_subset(b))
             break
 
     comp_map = []
@@ -148,33 +161,32 @@ def verify_strongly_regular(p: Partition) -> SrpReport:
         j = p.complement_block(i)
         if j is None:
             comp_ok = False
-            witnesses.append((2, ("axiom-2", i)))
+            witness = witness or ("axiom-2", i)
             break
         comp_map.append(j)
 
     counts_ok = True
-    rows = {}
+    rows = []
     for i, block in enumerate(p.blocks):
         first = _downward_profile(p, block[0])
         for a in block[1:]:
             other = _downward_profile(p, a)
             if other != first:
                 j = next(jj for jj in range(len(first)) if first[jj] != other[jj])
-                witnesses.append((3, ("axiom-3", i, j,
-                                      format_subset(block[0]), format_subset(a),
-                                      first[j], other[j])))
+                witness = witness or ("axiom-3", i, j, format_subset(block[0]),
+                                      format_subset(a), first[j], other[j])
                 counts_ok = False
                 break
         if not counts_ok:
             break
-        rows[i] = first
+        rows.append(tuple(first))
 
     ok = size_ok and comp_ok and counts_ok
     return SrpReport(
         size_ok, comp_ok, counts_ok,
-        witness=min(witnesses)[1] if witnesses else None,
+        witness=witness,
         comp_map=tuple(comp_map) if comp_ok else None,
-        counts=tuple(tuple(rows[i]) for i in range(len(p.blocks))) if ok else None,
+        counts=tuple(rows) if ok else None,
     )
 
 
@@ -218,8 +230,8 @@ def coeff_matrix(p: Partition) -> CoeffMatrix:
     # on the block basis its column i must read off column i of the counts.
     for i in range(len(p.blocks)):
         image = complementation(ell_power(1, complementation(p.block_poly(i))))
-        expected = Poly(p.g, P, [m.entries[p.block_of[c]][i] for c in p.g.masks()])
-        if image != expected:
+        column, bad = p.block_values(image.coeffs)
+        if bad is not None or column != [row[i] for row in m.entries]:
             raise VerificationFailure(
                 f"coefficient matrix disagrees with comp.ell.comp on block {i}")
     return m
@@ -263,16 +275,6 @@ class GoaReport:
         return out
 
 
-def _constant_on_blocks(p: Partition, q: Poly):
-    vals = q.to_basis(EPS).coeffs
-    for i, block in enumerate(p.blocks):
-        v0 = vals[block[0]]
-        for m in block[1:]:
-            if vals[m] != v0:
-                return i
-    return None
-
-
 def verify_goa_closure(p: Partition) -> GoaReport:
     """Is the span of the block indicator-sums closed under derivation,
     complementation, and pairwise multiplication?
@@ -283,21 +285,19 @@ def verify_goa_closure(p: Partition) -> GoaReport:
     partitions; strong regularity is not assumed.
     """
     polys = [p.block_poly(i) for i in range(len(p.blocks))]
-    for i, q in enumerate(polys):
-        image = derivation(q)
-        bad = _constant_on_blocks(p, image)
+
+    def images():
+        for i, q in enumerate(polys):
+            yield ("derivation", i), derivation(q)
+            yield ("complementation", i), complementation(q)
+        for i in range(len(polys)):
+            for j in range(i, len(polys)):
+                yield ("multiplication", i, j), polys[i] * polys[j]
+
+    for where, image in images():
+        bad = p.block_values(image.to_basis(EPS).coeffs)[1]
         if bad is not None:
-            return GoaReport(False, ("derivation", i, bad), image)
-        image = complementation(q)
-        bad = _constant_on_blocks(p, image)
-        if bad is not None:
-            return GoaReport(False, ("complementation", i, bad), image)
-    for i in range(len(polys)):
-        for j in range(i, len(polys)):
-            image = polys[i] * polys[j]
-            bad = _constant_on_blocks(p, image)
-            if bad is not None:
-                return GoaReport(False, ("multiplication", i, j, bad), image)
+            return GoaReport(False, where + (bad,), image)
     return GoaReport(True)
 
 
@@ -317,13 +317,10 @@ def structure_constants(p: Partition, i: int, j: int):
                 total += (-1) ** (sizes[k] - sizes[l]) * term
         moebius.append(total)
     product = p.block_poly(i) * p.block_poly(j)
-    direct = []
-    for k, block in enumerate(p.blocks):
-        v0 = product.coeffs[block[0]]
-        if any(product.coeffs[m] != v0 for m in block[1:]):
-            raise VerificationFailure(
-                f"product of blocks ({i},{j}) is not constant on block {k}")
-        direct.append(v0)
+    direct, bad = p.block_values(product.coeffs)
+    if bad is not None:
+        raise VerificationFailure(
+            f"product of blocks ({i},{j}) is not constant on block {bad}")
     if direct != moebius:
         raise VerificationFailure(
             f"structure constants disagree for ({i},{j}): "

@@ -13,6 +13,7 @@ from goa.subsets import GroundSet, parse_header
 DEFAULT_CLOSURE_CAP = 10 ** 6
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
+_POINT_RE = re.compile(r"\s*([0-9]+)\s*")
 
 
 def identity_perm(n):
@@ -26,22 +27,22 @@ def compose(a, b):
 
 def parse_permutation(text: str, g: GroundSet):
     """Disjoint cycle notation, e.g. '(1,2)(3,4)'; '()' is the identity;
-    fixed points may be omitted."""
+    fixed points may be omitted.  Whitespace may surround parentheses and
+    commas, but not split a point: '(1 2)' is an error, not '(12)'."""
     stripped = text.strip()
     if not stripped:
         raise InputError("empty permutation")
-    body = stripped.replace(" ", "")
-    if _CYCLE_RE.sub("", body) != "":
+    if _CYCLE_RE.sub("", stripped).strip():
         raise InputError(f"malformed cycle notation: {text!r}")
     images = list(identity_perm(g.n))
     seen = set()
-    for cycle_text in _CYCLE_RE.findall(body):
-        if not cycle_text:
+    for cycle_text in _CYCLE_RE.findall(stripped):
+        if not cycle_text.strip():
             continue
-        try:
-            pts = [int(tok) for tok in cycle_text.split(",")]
-        except ValueError:
-            raise InputError(f"bad cycle {cycle_text!r} in {text!r}") from None
+        points = [_POINT_RE.fullmatch(tok) for tok in cycle_text.split(",")]
+        if not all(points):
+            raise InputError(f"bad cycle {cycle_text!r} in {text!r}")
+        pts = [int(m[1]) for m in points]
         for p in pts:
             if not 1 <= p <= g.n:
                 raise InputError(f"point {p} out of range 1..{g.n}")
@@ -154,7 +155,7 @@ def orbit_partition(group: PermGroup) -> Partition:
 
 
 def partition_stabilizer(p: Partition) -> PermGroup:
-    """All permutations mapping every block of p into itself setwise.
+    """Every permutation that maps each block of p into itself setwise.
 
     Backtracking over point images; a partial assignment of 1..t is kept
     only if every subset of the assigned points lands in its own block.

@@ -116,16 +116,6 @@ class GenerationReport:
                 return (name, detail)
         return None
 
-    def lines(self):
-        out = []
-        for name, ok, detail in self.checks:
-            suffix = f"  ({detail})" if detail and not ok else ""
-            out.append(f"{'PASS' if ok else 'FAIL'} {name}{suffix}")
-        out.extend(f"note: {t}" for t in self.notes)
-        out.append(f"dim reconstructed: {self.dim_reconstructed}")
-        out.append(f"dim formula C(n+3,3): {self.dim_formula}")
-        return out
-
 
 def _div_exact(m, d):
     """Entrywise integer division; returns None if any entry is not divisible."""

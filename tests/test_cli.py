@@ -146,13 +146,16 @@ def test_unknown_flag_is_usage_error(tmp_path):
     lambda d: ("recon", "--partition", str(d / "example.txt"), "--size", "-1"),
     lambda d: ("recon", "--partition", str(d / "example.txt"), "--size", "4"),
     lambda d: ("verify", "--partition", str(d / "trailing.txt")),
+    lambda d: ("free-index", "--group", str(d / "spaced.txt")),
 ], ids=["directory", "non-utf8-partition", "non-utf8-group", "negative-pad",
         "dimensions-negative", "dimensions-zero", "recon-size-negative", "recon-size-above-n",
-        "trailing-semicolon"])
+        "trailing-semicolon", "space-inside-cycle"])
 def test_crashes_are_input_errors(tmp_path, capsys, argv_of):
     (tmp_path / "latin1.txt").write_bytes("n 3\n(1,2)\n# caf\xe9\n".encode("latin-1"))
     (tmp_path / "example.txt").write_text(EXAMPLE)
     (tmp_path / "trailing.txt").write_text("n 1\n1 ;\n")
+    # '(1 2)' must not read as the one-point cycle (12), the identity at n = 12
+    (tmp_path / "spaced.txt").write_text("n 12\n(1 2)\n")
     code, out, err = run(capsys, *argv_of(tmp_path))
     assert code == 2
     assert out == ""

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from goa.digraphs import EdgeWorld, graph_kelly_check, hypomorphy_search
@@ -65,3 +67,23 @@ def test_graph_kelly_exhaustive_f4():
 
 def test_graph_kelly_f3():
     assert graph_kelly_check(3)
+
+
+def brute_force_canon(world):
+    """Least image of every edge mask over all f! vertex relabellings."""
+    index = {e: k for k, e in enumerate(world.edges)}
+    perms = []
+    for sigma in permutations(range(1, world.f + 1)):
+        perms.append([index[(a, b) if world.directed or a < b else (b, a)]
+                      for a, b in ((sigma[i - 1], sigma[j - 1]) for i, j in world.edges)])
+    canon = []
+    for mask in range(1 << world.n):
+        canon.append(min(sum(1 << perm[k] for k in range(world.n) if mask >> k & 1)
+                         for perm in perms))
+    return canon
+
+
+@pytest.mark.parametrize("f, directed", [(3, True), (4, True), (4, False), (5, False)])
+def test_canon_is_least_relabelled_image(f, directed):
+    world = EdgeWorld(f, directed)
+    assert world.canon == brute_force_canon(world)

@@ -2,20 +2,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_group
 from goa import GroundSet, Partition
 from goa.errors import InputError
 from goa.operators import e_klr, epsilon_map
-from goa.partition import (_constant_on_blocks, coeff_matrix,
-                           format_partition, merge_blocks, mnukhin_check,
+from goa.partition import (coeff_matrix, format_partition, merge_blocks, mnukhin_check,
                            parse_partition_text, partition_from_polys,
                            structure_constants, upward_count, verify_goa_closure,
                            verify_strongly_regular)
 from goa.perms import orbit_partition
-from goa.poly import Poly
+from goa.poly import EPS, Poly
 from goa.incidence import signature_of
-from goa.subsets import mask_of, popcount
+from goa.subsets import format_subset, mask_of, popcount, submasks
 
 
 def cardinality_partition(g):
@@ -27,6 +28,34 @@ def cardinality_partition(g):
 
 def singletons_partition(g):
     return Partition.from_blocks(g, [[m] for m in g.masks()])
+
+
+@st.composite
+def partitions(draw, max_n=6):
+    """Any partition of the powerset of a ground set with n <= max_n."""
+    g = GroundSet(draw(st.integers(min_value=1, max_value=max_n)))
+    labels = draw(st.lists(st.integers(min_value=0, max_value=5),
+                           min_size=g.size, max_size=g.size))
+    blocks = {}
+    for m, label in enumerate(labels):
+        blocks.setdefault(label, []).append(m)
+    return Partition.from_blocks(g, list(blocks.values()))
+
+
+# -- block values -------------------------------------------------------------
+
+@given(partitions(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_block_values_matches_brute_force_scan(part, data):
+    # constant vectors, block-constant vectors, and ones with a few changed entries
+    vec = [data.draw(st.integers(-2, 2)) for _ in part.blocks]
+    vec = [vec[b] for b in part.block_of]
+    for m in data.draw(st.lists(st.integers(0, part.g.size - 1), max_size=3)):
+        vec[m] = data.draw(st.integers(-2, 2))
+    values, bad = part.block_values(tuple(vec))
+    assert values == [vec[block[0]] for block in part.blocks]
+    scan = [i for i, block in enumerate(part.blocks) if len({vec[m] for m in block}) > 1]
+    assert bad == (scan[0] if scan else None)
 
 
 # -- axioms ----------------------------------------------------------------
@@ -47,6 +76,11 @@ def test_mixed_sizes_fail_axiom_one():
     rep = verify_strongly_regular(p)
     assert not rep.size_homogeneous
     assert rep.witness[0] == "axiom-1"
+    # axioms 1 and 2 both fail: the witness is axiom 1's
+    p = Partition.from_blocks(g, [[0, mask_of([1])], [mask_of([2])], [mask_of([1, 2])]])
+    rep = verify_strongly_regular(p)
+    assert not rep.size_homogeneous and not rep.complement_closed
+    assert rep.witness[0] == "axiom-1"
 
 
 def test_complement_axiom_failure():
@@ -66,6 +100,55 @@ def test_axiom_three_witness():
         [mask_of([1, 2, 3])]])
     rep = verify_strongly_regular(p)
     assert rep.size_homogeneous and not rep.ok
+    # axioms 2 and 3 both fail: the witness is axiom 2's
+    assert not rep.complement_closed and not rep.counts_constant
+    assert rep.witness == ("axiom-2", 1)
+
+
+def homogeneous_complement_closed(draw_int, n):
+    """Random blocks that satisfy axioms 1 and 2: each level below the
+    middle is split at random and mirrored by complements; the middle
+    level of an even n is split into complement-closed groups."""
+    g = GroundSet(n)
+    full = g.full_mask
+    blocks = []
+    for k in range(n // 2 + 1):
+        middle = 2 * k == n
+        label, groups = {}, {}
+        for m in (m for m in g.masks() if popcount(m) == k):
+            key = min(m, m ^ full) if middle else m
+            if key not in label:
+                label[key] = draw_int(0, 2)
+            groups.setdefault(label[key], []).append(m)
+        blocks += groups.values()
+        if not middle:
+            blocks += [[m ^ full for m in b] for b in groups.values()]
+    return Partition.from_blocks(g, blocks)
+
+
+@given(st.integers(min_value=1, max_value=5), st.data())
+@settings(max_examples=150, deadline=None)
+def test_axiom_three_witness_is_first_failure_in_row_major_order(n, data):
+    part = homogeneous_complement_closed(
+        lambda lo, hi: data.draw(st.integers(lo, hi)), n)
+    # oracle: count members of each block below a mask by submask enumeration
+    rows = [[sum(1 for sub in submasks(a) if part.block_of[sub] == j)
+             for j in range(len(part.blocks))] for a in range(part.g.size)]
+    expected = None
+    for i, block in enumerate(part.blocks):
+        first = rows[block[0]]
+        a = next((a for a in block[1:] if rows[a] != first), None)
+        if a is not None:
+            j = next(j for j in range(len(first)) if first[j] != rows[a][j])
+            expected = ("axiom-3", i, j, format_subset(block[0]), format_subset(a),
+                        first[j], rows[a][j])
+            break
+    rep = verify_strongly_regular(part)
+    assert rep.size_homogeneous and rep.complement_closed
+    assert rep.witness == expected
+    assert rep.counts_constant == (expected is None)
+    if expected is None:
+        assert rep.counts == tuple(tuple(rows[b[0]]) for b in part.blocks)
 
 
 # -- coefficient matrix -----------------------------------------------------
@@ -269,7 +352,7 @@ def test_intersection_operators_stabilize_blocks():
                     op = e_klr(g, k, l, r)
                     for i in range(len(part.blocks)):
                         image = op(part.block_poly(i))
-                        assert _constant_on_blocks(part, image) is None
+                        assert part.block_values(image.to_basis(EPS).coeffs)[1] is None
 
 
 def test_triple_intersection_counts_constant():

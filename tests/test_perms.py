@@ -18,6 +18,8 @@ def test_parse_examples():
     g4 = GroundSet(4)
     assert parse_permutation("(1,2)(3,4)", g4) == (2, 1, 4, 3)
     assert parse_permutation("()", GroundSet(3)) == (1, 2, 3)
+    assert parse_permutation("( )", GroundSet(3)) == (1, 2, 3)
+    assert parse_permutation(" ( 1 , 2 ) (3,4) ", g4) == (2, 1, 4, 3)
     g8 = GroundSet(8)
     sigma = parse_permutation("(1,3,2,4)(5,7,6,8)", g8)
     assert sigma == (3, 4, 2, 1, 7, 8, 6, 5)
@@ -28,6 +30,10 @@ def test_parse_errors():
     for bad in ["(1,2)(2,3)", "(1,5)", "(1,2", "1,2", "(a,b)"]:
         with pytest.raises(InputError):
             parse_permutation(bad, g)
+    # a point is one run of digits: '(1 2)' and '(1_2)' must not read as 12
+    for n, bad in [(12, "(1 2)"), (10, "(1 0)"), (12, "(1_2)"), (4, "(1,2) x")]:
+        with pytest.raises(InputError):
+            parse_permutation(bad, GroundSet(n))
 
 
 def test_format_round_trip():
