@@ -15,16 +15,19 @@ from goa.srp import enumerate_strongly_regular, is_orbit_partition
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--max-n", type=int, default=4)
+    ap.add_argument("--max-n", type=int, default=4, choices=range(1, 6),
+                    help="largest ground-set size; the enumeration supports n <= 5")
     ap.add_argument("--budget", type=float, default=300.0,
                     help="time budget in seconds for n = 5")
     args = ap.parse_args()
+    if not args.budget > 0:
+        ap.error(f"--budget must be a positive number of seconds, got {args.budget}")
 
     for n in range(1, args.max_n + 1):
         start = time.monotonic()
         parts, complete = enumerate_strongly_regular(
             GroundSet(n), budget_seconds=args.budget if n == 5 else None)
-        realizable = sum(1 for p in parts if is_orbit_partition(p)[0]) if n <= 8 else "-"
+        realizable = sum(1 for p in parts if is_orbit_partition(p)[0])
         status = "" if complete else " (partial: budget exhausted)"
         print(f"n={n}: {len(parts)} strongly regular partitions, "
               f"{realizable} orbit-realizable{status} "

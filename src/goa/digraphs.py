@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from goa.errors import InputError, VerificationFailure
 from goa.perms import close_generators, orbit_partition
-from goa.subsets import GroundSet
+from goa.subsets import GroundSet, downward_counts, unpack
 
 
 def edge_table(f: int, directed: bool):
@@ -21,7 +21,9 @@ def edge_table(f: int, directed: bool):
 
 
 class EdgeWorld:
-    """Precomputed action of the vertex group on edge masks."""
+    """Precomputed action of the vertex group on edge masks: the
+    isomorphism classes, and their downward_counts table, which gives the
+    number of subgraphs of each class inside every edge mask."""
 
     def __init__(self, f: int, directed: bool):
         if directed and f not in (3, 4):
@@ -48,8 +50,10 @@ class EdgeWorld:
         rotate = tuple(range(2, f + 1)) + (1,)
         group = close_generators(GroundSet(self.n), [lift(swap), lift(rotate)])
         classes = orbit_partition(group)
+        self.reps = [block[0] for block in classes.blocks]
         # canon[m]: the least edge mask isomorphic to m
-        self.canon = [classes.blocks[b][0] for b in classes.block_of]
+        self.canon = [self.reps[b] for b in classes.block_of]
+        self.table, self.code = downward_counts(classes.blocks, self.n)
 
     def delete_vertex(self, mask, v):
         return mask & ~self.incident[v]
@@ -63,16 +67,9 @@ class EdgeWorld:
         return sum(1 for v in range(1, self.f + 1) if not mask & self.incident[v])
 
     def subtype_counts(self, mask):
-        """Counts of contained edge-subsets by iso class."""
-        counts = {}
-        sub = mask
-        while True:
-            c = self.canon[sub]
-            counts[c] = counts.get(c, 0) + 1
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-        return counts
+        """Counts of contained edge-subsets by iso class (its least member)."""
+        counts = unpack(self.table[mask], self.code, len(self.reps))
+        return {rep: c for rep, c in zip(self.reps, counts) if c}
 
     def format_mask(self, mask):
         arrow = "->" if self.directed else "-"

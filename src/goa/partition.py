@@ -5,9 +5,9 @@ operators, structure constants, and block merging.
 A partition is strongly regular when (1) each block is size-homogeneous,
 (2) the complements of each block form a block, and (3) for every block
 pair (i, j) the number of members of block j inside a member of block i
-does not depend on the chosen member.  The downward counts form the
-coefficient matrix; it doubles as the matrix of comp . ell . comp on the
-block basis, and that identification is cross-checked, not assumed.
+does not depend on the chosen member.  One subsets.downward_counts table
+gives these counts; they form the coefficient matrix, the matrix of
+comp . ell . comp on the block basis (cross-checked, not assumed).
 A partition builds its coefficient matrix once, on first use of
 Partition.matrix; every function here and in goa.recon reads it there.
 Every "is this mask-indexed vector constant on each block" question
@@ -23,7 +23,8 @@ from goa.errors import InputError, VerificationFailure
 from goa.linalg import mat_inverse, mat_pow
 from goa.operators import complementation, derivation, ell_power
 from goa.poly import EPS, Poly
-from goa.subsets import GroundSet, format_subset, parse_header, parse_subset, popcount, submasks
+from goa.subsets import (GroundSet, downward_counts, format_subset, parse_header, parse_subset,
+                         popcount, unpack)
 
 
 class Partition:
@@ -133,18 +134,10 @@ class SrpReport:
         return out
 
 
-def _downward_profile(p: Partition, mask):
-    """Count of members of each block lying inside mask."""
-    row = [0] * len(p.blocks)
-    for sub in submasks(mask):
-        row[p.block_of[sub]] += 1
-    return row
-
-
 def verify_strongly_regular(p: Partition) -> SrpReport:
     """All three axioms evaluated independently, in order; the witness is
-    the first failing axiom's counterexample.  Counts are attached only when
-    all axioms hold (they are block-constant exactly then)."""
+    the first failing axiom's counterexample.  Axiom 3 reads the packed
+    downward_counts table; counts are attached only when all axioms hold."""
     witness = None
 
     size_ok = True
@@ -165,28 +158,24 @@ def verify_strongly_regular(p: Partition) -> SrpReport:
             break
         comp_map.append(j)
 
-    counts_ok = True
-    rows = []
-    for i, block in enumerate(p.blocks):
-        first = _downward_profile(p, block[0])
-        for a in block[1:]:
-            other = _downward_profile(p, a)
-            if other != first:
-                j = next(jj for jj in range(len(first)) if first[jj] != other[jj])
-                witness = witness or ("axiom-3", i, j, format_subset(block[0]),
-                                      format_subset(a), first[j], other[j])
-                counts_ok = False
-                break
-        if not counts_ok:
-            break
-        rows.append(tuple(first))
+    s = len(p.blocks)
+    table, code = downward_counts(p.blocks, p.g.n)
+    values, bad = p.block_values(table)
+    if bad is not None:
+        a = next(m for m in p.blocks[bad] if table[m] != values[bad])
+        first, other = unpack(values[bad], code, s), unpack(table[a], code, s)
+        j = next(jj for jj in range(s) if first[jj] != other[jj])
+        witness = witness or ("axiom-3", bad, j, format_subset(p.blocks[bad][0]),
+                              format_subset(a), first[j], other[j])
+    rows = memoryview(b"".join(unpack(v, code, s) for v in values)).cast(code)
+    del table, values   # so that the count tuples can reuse the table's memory
 
-    ok = size_ok and comp_ok and counts_ok
+    ok = size_ok and comp_ok and bad is None
     return SrpReport(
-        size_ok, comp_ok, counts_ok,
+        size_ok, comp_ok, bad is None,
         witness=witness,
         comp_map=tuple(comp_map) if comp_ok else None,
-        counts=tuple(rows) if ok else None,
+        counts=tuple(tuple(rows[i * s:i * s + s]) for i in range(s)) if ok else None,
     )
 
 

@@ -11,7 +11,7 @@ from goa.partition import (Partition, merge_blocks, verify_goa_closure,
                            verify_strongly_regular)
 from goa.perms import (close_generators, orbit_partition, parse_permutation,
                        partition_stabilizer)
-from goa.subsets import GroundSet, enumerate_by_size, format_subset, mask_of
+from goa.subsets import GroundSet, downward_counts, enumerate_by_size, format_subset, mask_of
 
 
 def is_orbit_partition(p: Partition):
@@ -45,10 +45,11 @@ def enumerate_strongly_regular(g: GroundSet, budget_seconds=None):
     Search is level by level: a set partition of the size-k layer forces
     the size-(n-k) layer through complementation; the middle layer (even
     n) must itself be complement-closed.  Two sets may share a block only
-    if their downward profiles (and their complements' profiles) against
-    all previously fixed blocks agree, and the constant-count axiom is
-    re-checked after every layer.  Supports n <= 5; n = 5 completes in
-    about 3 s with 93 partitions, well inside its default 300 s budget.
+    if their downward counts (and their complements') against all fixed
+    blocks, read from one downward_counts table per search node, agree;
+    the constant-count axiom is re-checked after every layer.  Supports
+    n <= 5; n = 5 completes in about 3 s with 93 partitions, well inside
+    its default 300 s budget.
     A budget, when given, must be a positive number of seconds.
     """
     n = g.n
@@ -64,15 +65,6 @@ def enumerate_strongly_regular(g: GroundSet, budget_seconds=None):
     results = []
     state = {"complete": True}
 
-    def profile(mask, fixed):
-        key = []
-        for _, members in fixed:
-            key.append(sum(1 for b in members if b & mask == b))
-        cmask = mask ^ full
-        for _, members in fixed:
-            key.append(sum(1 for b in members if b & cmask == b))
-        return tuple(key)
-
     def counts_constant(fixed, new_start):
         for xi, (lx, x) in enumerate(fixed):
             for yi, (ly, y) in enumerate(fixed):
@@ -87,9 +79,10 @@ def enumerate_strongly_regular(g: GroundSet, budget_seconds=None):
         return True
 
     def layer_partitions(k, fixed):
+        table, _ = downward_counts([members for _, members in fixed], n)
         classes = {}
         for m in levels[k]:
-            classes.setdefault(profile(m, fixed), []).append(m)
+            classes.setdefault((table[m], table[m ^ full]), []).append(m)
         class_lists = sorted(classes.values())
 
         def rec(idx):

@@ -6,15 +6,18 @@ ints and fractions.Fraction); there are no floats anywhere.
 
 subset_sum is the one subset-lattice (zeta/Moebius) transform of the
 package, Yates' transform: the P <-> EPS basis change, the powers of the
-down-set operator and the Venn-cell transform of incidence functions all
-run through it.  Reversing a vector indexed by masks moves entry x to
+down-set operator, the Venn-cell transform of incidence functions and
+downward_counts, the packed table of per-block counts inside each mask,
+all run through it.  Reversing a vector indexed by masks moves entry x to
 full - x, the complement of x: reversal is complementation, and it turns
 superset sums into subset sums.
 """
 
 import re
+import sys
 from dataclasses import dataclass
 from math import comb
+from struct import calcsize
 
 from goa.errors import InputError
 
@@ -111,13 +114,32 @@ def subset_sum(c, n: int, w):
     return c
 
 
+def downward_counts(blocks, n: int):
+    """(table, code) for disjoint mask lists: table[c] packs, in field j,
+    the count of members of blocks[j] inside mask c.  Fields are the least
+    of 1, 2, 4 bytes (code "BHI") that hold the largest block's size."""
+    largest = max(map(len, blocks), default=0)
+    code = next(c for c in "BHI" if largest < 1 << 8 * calcsize(c))
+    vec = [0] * (1 << n)
+    for j, block in enumerate(blocks):
+        bit = 1 << 8 * calcsize(code) * j   # shared: vec holds s big ints, not 2^n
+        for m in block:
+            vec[m] = bit
+    return subset_sum(vec, n, 1), code
+
+
+def unpack(word: int, code: str, s: int):
+    """The s fields of a downward_counts word, as a sequence of ints."""
+    return memoryview(word.to_bytes(s * calcsize(code), sys.byteorder)).cast(code)
+
+
 def binom(n: int, k: int) -> int:
     return comb(n, k) if 0 <= k <= n else 0
 
 
 def parse_subset(text: str, g: GroundSet) -> int:
-    """Parse the subset syntax: increasing 1-based integers, or '-' for the
-    empty set.  A blank member is an error, not the empty set."""
+    """Parse the subset syntax: increasing 1-based ASCII-digit integers, or
+    '-' for the empty set.  A blank member is an error, not the empty set."""
     text = text.strip()
     if not text:
         raise InputError("empty subset (the empty set is written '-')")
@@ -126,10 +148,9 @@ def parse_subset(text: str, g: GroundSet) -> int:
     parts = text.split()
     elems = []
     for p in parts:
-        try:
-            e = int(p)
-        except ValueError:
-            raise InputError(f"bad subset token {p!r}") from None
+        if not re.fullmatch("[0-9]+", p):     # int() also reads '1_2', '+1', '١'
+            raise InputError(f"bad subset token {p!r}")
+        e = int(p)
         if not 1 <= e <= g.n:
             raise InputError(f"element {e} out of range 1..{g.n}")
         if elems and e <= elems[-1]:
@@ -157,7 +178,7 @@ def parse_header(text: str, kind: str):
         if g is not None:
             body.append((lineno, line))
             continue
-        m = re.fullmatch(r"n\s+(\d+)", line)
+        m = re.fullmatch(r"n\s+([0-9]+)", line)
         if not m:
             raise InputError(f"line {lineno}: expected 'n <int>' header, got {line!r}")
         try:

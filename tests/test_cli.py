@@ -1,7 +1,17 @@
-import pytest
+import contextlib
+import io
+import tempfile
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from goa import GroundSet, Partition
 from goa.cli import main
+from goa.errors import InputError
 from goa.partition import format_partition, parse_partition_text
+from goa.perms import close_generators, format_permutation, orbit_partition, parse_group_text
 
 EXAMPLE = "n 3\n-\n1 ; 2\n3\n1 2\n1 3 ; 2 3\n1 2 3\n"
 
@@ -147,15 +157,18 @@ def test_unknown_flag_is_usage_error(tmp_path):
     lambda d: ("recon", "--partition", str(d / "example.txt"), "--size", "4"),
     lambda d: ("verify", "--partition", str(d / "trailing.txt")),
     lambda d: ("free-index", "--group", str(d / "spaced.txt")),
+    lambda d: ("verify", "--partition", str(d / "signed.txt")),
 ], ids=["directory", "non-utf8-partition", "non-utf8-group", "negative-pad",
         "dimensions-negative", "dimensions-zero", "recon-size-negative", "recon-size-above-n",
-        "trailing-semicolon", "space-inside-cycle"])
+        "trailing-semicolon", "space-inside-cycle", "signed-subset-token"])
 def test_crashes_are_input_errors(tmp_path, capsys, argv_of):
     (tmp_path / "latin1.txt").write_bytes("n 3\n(1,2)\n# caf\xe9\n".encode("latin-1"))
     (tmp_path / "example.txt").write_text(EXAMPLE)
     (tmp_path / "trailing.txt").write_text("n 1\n1 ;\n")
     # '(1 2)' must not read as the one-point cycle (12), the identity at n = 12
     (tmp_path / "spaced.txt").write_text("n 12\n(1 2)\n")
+    # '+1' must not read as element 1: the file would verify as the size levels
+    (tmp_path / "signed.txt").write_text("n 3\n-\n+1 ; 2 ; 3\n1 2 ; 1 3 ; 2 3\n1 2 3\n")
     code, out, err = run(capsys, *argv_of(tmp_path))
     assert code == 2
     assert out == ""
@@ -188,3 +201,94 @@ def test_enumerate_rejects_nonpositive_budget(capsys, budget):
     assert code == 2
     assert out == ""
     assert "budget" in err
+
+
+# -- exit-code contract under malformed input ---------------------------------
+
+HEADERS = st.sampled_from(["n 1", "n 2", "n 3", "n 4", "n 0", "n", "n 2 3", "n -1", "n +2",
+                           "n 02", "n \uff13", "x 3", "# n 2", ""])
+SUBSET_TOKENS = st.sampled_from(["-", "1", "2", "3", "4", "5", "0", "01", "2 1", "1 1", ";",
+                                 "", "x", "+1", "1_2", "\u0661", "#", "(1,2)"])
+CYCLE_TOKENS = st.sampled_from(["(1,2)", "(1,2,3)", "(2,4)", "()", "( )", "(1 2)", "(1,1)",
+                                "(1,5)", "(0,1)", "(+1,2)", "(\u0661,2)", "(", ")", ",", "x",
+                                "#", " ", "3"])
+
+
+def junk(draw, tokens):
+    return " ".join(draw(st.lists(tokens, max_size=4)))
+
+
+@st.composite
+def partition_files(draw):
+    """A partition file of n <= 4, well formed or not: an orbit partition
+    (strongly regular) or a random one, with up to two lines malformed."""
+    g = GroundSet(draw(st.sampled_from([1, 2, 3, 4, 4])))
+    if draw(st.booleans()):
+        images = tuple(draw(st.permutations(range(1, g.n + 1))))
+        part = orbit_partition(close_generators(g, [images]))
+    else:
+        labels = draw(st.lists(st.integers(0, 7), min_size=g.size, max_size=g.size))
+        part = Partition.from_blocks(g, [[m for m in g.masks() if labels[m] == j]
+                                         for j in set(labels)])
+    lines = format_partition(part).splitlines()
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        lines[i] = draw(HEADERS) if i == 0 else draw(st.sampled_from(
+            [junk(draw, SUBSET_TOKENS), lines[i] + " ; " + junk(draw, SUBSET_TOKENS),
+             lines[i - 1], ""]))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def group_files(draw):
+    """A group file: a valid header for n <= 4 or a malformed one, then up
+    to three generators, each well formed or junk."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    lines = [f"n {n}" if draw(st.booleans()) else draw(HEADERS)]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        images = tuple(draw(st.permutations(range(1, n + 1))))
+        lines.append(format_permutation(images) if draw(st.booleans())
+                     else junk(draw, CYCLE_TOKENS))
+    return "\n".join(lines) + "\n"
+
+
+def run_file(text, *argv):
+    """Exit code, stdout and stderr of goa on argv + (path of a file holding text,)."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def parse_fails(parse, text):
+    try:
+        parse(text)
+    except InputError:
+        return True
+    return False
+
+
+@given(partition_files())
+@settings(max_examples=60, deadline=None)
+def test_partition_commands_keep_the_exit_code_contract(text):
+    malformed = parse_fails(parse_partition_text, text)
+    for argv in (["verify"], ["verify", "--closure"], ["coeff"], ["recon"],
+                 ["is-orbit-algebra"], ["stabilizer"]):
+        code, out, err = run_file(text, *argv, "--partition")
+        assert code in (0, 1, 2, 3), (argv, err)
+        if malformed:
+            assert (code, out) == (2, ""), (argv, err)
+
+
+@given(group_files())
+@settings(max_examples=60, deadline=None)
+def test_group_commands_keep_the_exit_code_contract(text):
+    malformed = parse_fails(parse_group_text, text)
+    for argv in (["orbits"], ["free-index"]):
+        code, out, err = run_file(text, *argv, "--group")
+        assert code in (0, 1, 2, 3), (argv, err)
+        if malformed:
+            assert (code, out) == (2, ""), (argv, err)

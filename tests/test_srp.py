@@ -38,8 +38,9 @@ def test_non_realizable_regular_looking_partition():
 
 def test_enumeration_small_counts():
     assert len(enumerate_strongly_regular(GroundSet(1))[0]) == 1
-    parts, complete = enumerate_strongly_regular(GroundSet(2))
-    assert complete and len(parts) == 2
+    for n, count in ((2, 2), (3, 5), (4, 22)):
+        parts, complete = enumerate_strongly_regular(GroundSet(n))
+        assert complete and len(parts) == count
 
 
 def test_enumeration_everything_verifies_and_realizes():

@@ -5,9 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from goa.errors import InputError
-from goa.subsets import (GroundSet, binom, complement_mask, enumerate_by_size,
+from goa.subsets import (GroundSet, binom, complement_mask, downward_counts, enumerate_by_size,
                          format_subset, mask_of, parse_header, parse_subset, popcount,
-                         submasks, subset_sum)
+                         submasks, subset_sum, unpack)
 
 
 def test_enumerate_examples():
@@ -66,6 +66,11 @@ def test_parse_subset_errors():
         parse_subset("5", g)
     with pytest.raises(InputError):
         parse_subset("x", g)
+    # int() reads each of these as a number; a member token is ASCII digits only
+    for token in ("1_2", "+1", "\u0661", "1 +2"):
+        with pytest.raises(InputError, match="bad subset token"):
+            parse_subset(token, GroundSet(12))
+    assert parse_subset("01 3", g) == mask_of([1, 3])    # leading zeros stay allowed
     for blank in ("", "  "):       # the empty set is written '-'
         with pytest.raises(InputError, match="empty subset"):
             parse_subset(blank, g)
@@ -78,6 +83,7 @@ def test_parse_header_body_and_errors():
     for text, message in [
         ("x 3\n", "line 1: expected 'n <int>' header, got 'x 3'"),
         ("\nn 0\n", "line 2: ground set size must be in 1..20, got 0"),
+        ("n \uff13\n", "line 1: expected 'n <int>' header, got 'n \uff13'"),
         ("# only a comment\n", "group file has no 'n <int>' header"),
     ]:
         with pytest.raises(InputError) as exc:
@@ -125,3 +131,39 @@ def test_subset_sum_accepts_a_tuple_and_leaves_its_input_unchanged(nc, w):
     t = tuple(c)
     assert subset_sum(t, n, w) == subset_sum(c, n, w)
     assert t == tuple(before) and c == before
+
+
+@st.composite
+def block_families(draw):
+    """(n, blocks): disjoint mask lists over n <= 6 points, either a whole
+    partition of the powerset or a partial family that misses some masks."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    k = draw(st.integers(min_value=1, max_value=5))
+    lowest = draw(st.sampled_from([0, -1]))        # -1: the mask is in no block
+    labels = draw(st.lists(st.integers(lowest, k - 1), min_size=1 << n, max_size=1 << n))
+    return n, [[m for m, lab in enumerate(labels) if lab == j] for j in range(k)]
+
+
+@given(block_families())
+def test_downward_counts_match_a_direct_count(nb):
+    n, blocks = nb
+    table, code = downward_counts(blocks, n)
+    assert len(table) == 1 << n
+    for c in range(1 << n):
+        assert list(unpack(table[c], code, len(blocks))) == \
+            [sum(1 for m in block if m & c == m) for block in blocks]
+
+
+@pytest.mark.parametrize("sizes", [(255, 256), (256, 255)])
+def test_downward_counts_field_holds_a_full_block(sizes):
+    # a count equals its block's size at the full mask: 256 needs two bytes,
+    # and a one-byte field would carry into the next block's count
+    first = list(range(sizes[0]))
+    blocks = [first, list(range(sizes[0], sum(sizes)))]
+    table, code = downward_counts(blocks, 9)
+    assert code == "H"
+    assert downward_counts([b for b in blocks if len(b) == 255], 9)[1] == "B"
+    for c in range(1 << 9):
+        assert list(unpack(table[c], code, 2)) == \
+            [sum(1 for m in block if m & c == m) for block in blocks]
+    assert list(unpack(table[-1], code, 2)) == list(sizes)
