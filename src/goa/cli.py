@@ -8,6 +8,7 @@ cleanly.
 """
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -195,11 +196,27 @@ def cmd_dimensions(args):
     return 0
 
 
+def _ascii_number(pattern, convert):
+    """An argparse type: convert(text) once text fully matches pattern.
+    int and float alone also read non-ASCII digits ('٣') and underscores
+    ('1_0')."""
+    def parse(text):
+        if not re.fullmatch(pattern, text):
+            raise ValueError(text)
+        return convert(text)
+    parse.__name__ = convert.__name__   # argparse names the type in its error
+    return parse
+
+
+_INT = _ascii_number("-?[0-9]+", int)
+_SECONDS = _ascii_number(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)", float)
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="goa",
         description="Exact computations with strongly regular partitions of a powerset")
-    ap.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    ap.add_argument("--seed", type=_INT, default=DEFAULT_SEED,
                     help=f"seed for randomized spot checks (default {DEFAULT_SEED})")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -211,7 +228,7 @@ def build_parser():
 
     p = sub.add_parser("coeff", help="print the downward-count coefficient matrix")
     p.add_argument("--partition", required=True)
-    p.add_argument("--power", type=int, default=None,
+    p.add_argument("--power", type=_INT, default=None,
                    help="also verify the entrywise matrix power law for this m")
     p.set_defaults(fn=cmd_coeff)
 
@@ -221,8 +238,8 @@ def build_parser():
     p.set_defaults(fn=cmd_is_orbit_algebra)
 
     p = sub.add_parser("enumerate-srp", help="list all strongly regular partitions")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=float, default=None, help="time budget in seconds")
+    p.add_argument("--n", type=_INT, required=True)
+    p.add_argument("--budget", type=_SECONDS, default=None, help="time budget in seconds")
     p.set_defaults(fn=cmd_enumerate_srp)
 
     p = sub.add_parser("counterexample",
@@ -238,17 +255,17 @@ def build_parser():
     p.set_defaults(fn=cmd_stabilizer)
 
     p = sub.add_parser("identities", help="run the exact operator identity suite")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_INT, required=True)
     p.set_defaults(fn=cmd_identities)
 
     p = sub.add_parser("recon", help="reconstruction pairs and counting bounds")
     p.add_argument("--partition", required=True)
-    p.add_argument("--size", type=int, default=None)
+    p.add_argument("--size", type=_INT, default=None)
     p.set_defaults(fn=cmd_recon)
 
     p = sub.add_parser("muller-tight", help="the order-bound-tight family")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--pad", type=int, default=0)
+    p.add_argument("--r", type=_INT, required=True)
+    p.add_argument("--pad", type=_INT, default=0)
     p.set_defaults(fn=cmd_muller_tight)
 
     p = sub.add_parser("free-index", help="reconstruction index of a free action")
@@ -256,11 +273,11 @@ def build_parser():
     p.set_defaults(fn=cmd_free_index)
 
     p = sub.add_parser("digraph-demo", help="hypomorphy census for small (di)graphs")
-    p.add_argument("--vertices", type=int, required=True)
+    p.add_argument("--vertices", type=_INT, required=True)
     p.set_defaults(fn=cmd_digraph_demo)
 
     p = sub.add_parser("dimensions", help="exact bilinear-span dimension comparison")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_INT, required=True)
     p.set_defaults(fn=cmd_dimensions)
 
     return ap
@@ -272,17 +289,18 @@ def main(argv=None):
     try:
         return args.fn(args)
     except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, f"input error: {exc}"
     except VerificationFailure as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
+        code, message = 1, f"verification failure: {exc}"
     except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 3
+        code, message = 3, f"budget exceeded: {exc}"
     except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
+        code, message = 4, f"internal error: {type(exc).__name__}: {exc}"
+    try:
+        print(message, file=sys.stderr)
+    except OSError:   # stderr closed too, e.g. both piped into `head`
+        pass
+    return code
 
 
 if __name__ == "__main__":

@@ -7,13 +7,14 @@ sizes in this package stay tiny.
 """
 
 from fractions import Fraction
+from operator import mul
 
 from goa.errors import InputError
 
 
 def mat_mul(a, b):
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def mat_sub(a, b):

@@ -84,11 +84,9 @@ def act_on_subset(sigma, mask: int) -> int:
 
 def action_table(sigma, g: GroundSet):
     """sigma acting on every mask, as a list indexed by mask."""
-    bit_image = [1 << (sigma[i] - 1) for i in range(g.n)]
-    table = [0] * g.size
-    for m in range(1, g.size):
-        low = m & -m
-        table[m] = table[m ^ low] | bit_image[low.bit_length() - 1]
+    table = [0]
+    for i in range(g.n):   # mask m + 2^i, m < 2^i, maps to the image of m plus sigma(i+1)
+        table += [t | 1 << (sigma[i] - 1) for t in table]
     return table
 
 

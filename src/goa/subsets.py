@@ -16,7 +16,9 @@ superset sums into subset sums.
 import re
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from math import comb
+from operator import add, mul
 from struct import calcsize
 
 from goa.errors import InputError
@@ -109,8 +111,8 @@ def subset_sum(c, n: int, w):
     """
     c = list(c)
     for _ in range(n):
-        even, odd = c[0::2], c[1::2]
-        c = even + [b + w * a for a, b in zip(even, odd)]
+        even = c[0::2]
+        c = even + list(map(add, c[1::2], even if w == 1 else map(mul, repeat(w), even)))
     return c
 
 

@@ -203,6 +203,46 @@ def test_enumerate_rejects_nonpositive_budget(capsys, budget):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("dimensions", "--n", "\u0663"),
+    ("dimensions", "--n", "1_0"),
+    ("dimensions", "--n", "+3"),
+    ("dimensions", "--n", " 3"),
+    ("muller-tight", "--r", "\u0663"),
+    ("muller-tight", "--r", "3", "--pad", "\uff10"),
+    ("--seed", "1_789", "identities", "--n", "1"),
+    ("digraph-demo", "--vertices", "\u0663"),
+    ("enumerate-srp", "--n", "\u0662"),
+    ("enumerate-srp", "--n", "2", "--budget", "\u0661"),
+    ("enumerate-srp", "--n", "2", "--budget", "1_0"),
+    ("enumerate-srp", "--n", "2", "--budget", "inf"),
+], ids=["arabic-indic-n", "underscore-n", "plus-n", "space-n", "arabic-indic-r",
+        "fullwidth-pad", "underscore-seed", "arabic-indic-vertices", "arabic-indic-srp-n",
+        "arabic-indic-budget", "underscore-budget", "inf-budget"])
+def test_number_flags_read_only_ascii_decimal_text(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "invalid" in out.err
+
+
+def test_negative_seed_and_decimal_budget_stay_valid(capsys):
+    assert run(capsys, "--seed", "-5", "identities", "--n", "1")[0] == 0
+    assert run(capsys, "enumerate-srp", "--n", "1", "--budget", "30.5")[0] == 0
+
+
+class ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_pipes_exit_4_not_falsified():
+    with contextlib.redirect_stdout(ClosedPipe()), contextlib.redirect_stderr(ClosedPipe()):
+        assert main(["dimensions", "--n", "3"]) == 4
+
+
 # -- exit-code contract under malformed input ---------------------------------
 
 HEADERS = st.sampled_from(["n 1", "n 2", "n 3", "n 4", "n 0", "n", "n 2 3", "n -1", "n +2",

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import goa.identities as identities
 from goa.identities import identity_suite
 from goa.operators import LinearOperator, ell_power
@@ -38,3 +40,17 @@ def test_transpose_check_catches_one_perturbed_raising_entry(monkeypatch):
     got = verdicts(GroundSet(3))
     assert got["raising and lowering operators are transposes"] is False
     assert got["ell powers compose additively"] is True
+
+
+def test_vandermonde_check_catches_one_perturbed_coefficient(monkeypatch):
+    real = identities.vandermonde_coeffs
+
+    def perturbed(g):
+        coeffs = list(real(g))
+        coeffs[1] += Fraction(1, 7)
+        return coeffs
+
+    monkeypatch.setattr(identities, "vandermonde_coeffs", perturbed)
+    got = verdicts(GroundSet(3))
+    assert [name for name, ok in got.items() if not ok] == [
+        "derivation equals the vandermonde combination of ell powers"]

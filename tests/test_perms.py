@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from conftest import random_group
 from goa import GroundSet, Partition
 from goa.errors import BudgetExceeded, InputError
-from goa.perms import (act_on_subset, close_generators, compose, format_permutation,
-                       format_group, identity_perm, orbit_partition, parse_group_text,
-                       parse_permutation, partition_stabilizer)
+from goa.perms import (act_on_subset, action_table, close_generators, compose,
+                       format_permutation, format_group, identity_perm, orbit_partition,
+                       parse_group_text, parse_permutation, partition_stabilizer)
 from goa.subsets import mask_of, popcount
 
 
@@ -82,6 +82,14 @@ def test_action_is_a_group_action(n, data):
     assert act_on_subset(compose(sigma, tau), mask) \
         == act_on_subset(sigma, act_on_subset(tau, mask))
     assert popcount(act_on_subset(sigma, mask)) == popcount(mask)
+
+
+@given(st.integers(min_value=1, max_value=8), st.data())
+@settings(max_examples=40, deadline=None)
+def test_action_table_matches_act_on_subset(n, data):
+    g = GroundSet(n)
+    sigma = tuple(data.draw(st.permutations(list(range(1, n + 1)))))
+    assert action_table(sigma, g) == [act_on_subset(sigma, m) for m in g.masks()]
 
 
 def test_orbit_partition_example(example_partition, g3):

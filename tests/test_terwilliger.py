@@ -2,8 +2,10 @@ from math import comb
 
 import pytest
 
+import goa.terwilliger as terwilliger
 from goa.errors import InputError
-from goa.operators import admissible_triples
+from goa.operators import admissible_triples, derivation
+from goa.poly import P, Poly
 from goa.subsets import GroundSet
 from goa.terwilliger import verify_terwilliger_generation
 
@@ -39,3 +41,13 @@ def test_scalar_note_present():
 def test_rejects_large_ground_set():
     with pytest.raises(InputError):
         verify_terwilliger_generation(GroundSet(9))
+
+
+def test_generation_check_catches_one_wrong_derivation_entry(monkeypatch):
+    def perturbed(p):
+        out = list(derivation(p).coeffs)
+        out[0b0001] += p.coeffs[0b0011]   # one extra entry: p_{1 2} -> p_{1}
+        return Poly(p.g, P, out)
+
+    monkeypatch.setattr(terwilliger, "derivation", perturbed)
+    assert not verify_terwilliger_generation(GroundSet(4)).ok
