@@ -51,14 +51,15 @@ class Partition:
         seen = [False] * g.size
         cleaned = []
         for block in blocks:
-            members = sorted(set(block))
+            members = sorted(block)
             if not members:
                 raise InputError("empty block")
-            for m in members:
+            for k, m in enumerate(members):
                 if not 0 <= m < g.size:
                     raise InputError(f"mask {m} out of range for n={g.n}")
                 if seen[m]:
-                    raise InputError(f"subset {format_subset(m)} appears in two blocks")
+                    where = "twice in one block" if k and members[k - 1] == m else "in two blocks"
+                    raise InputError(f"subset {format_subset(m)} appears {where}")
                 seen[m] = True
             cleaned.append(tuple(members))
         missing = next((m for m in range(g.size) if not seen[m]), None)
@@ -117,7 +118,7 @@ class SrpReport:
     counts_constant: bool
     witness: tuple = None          # first failing axiom's witness
     comp_map: tuple = None         # c(i) per block, when axiom 2 holds
-    counts: tuple = None           # downward-count matrix, when axiom 3 holds
+    counts: tuple = None           # downward-count rows (memoryviews), when axiom 3 holds
 
     @property
     def ok(self):
@@ -167,21 +168,22 @@ def verify_strongly_regular(p: Partition) -> SrpReport:
         j = next(jj for jj in range(s) if first[jj] != other[jj])
         witness = witness or ("axiom-3", bad, j, format_subset(p.blocks[bad][0]),
                               format_subset(a), first[j], other[j])
-    rows = memoryview(b"".join(unpack(v, code, s) for v in values)).cast(code)
-    del table, values   # so that the count tuples can reuse the table's memory
 
     ok = size_ok and comp_ok and bad is None
     return SrpReport(
         size_ok, comp_ok, bad is None,
         witness=witness,
         comp_map=tuple(comp_map) if comp_ok else None,
-        counts=tuple(tuple(rows[i * s:i * s + s]) for i in range(s)) if ok else None,
+        counts=tuple(unpack(v, code, s) for v in values) if ok else None,
     )
 
 
 @dataclass(frozen=True)
 class CoeffMatrix:
-    """entries[i][j] = number of members of block j inside a member of block i."""
+    """entries[i][j] = number of members of block j inside a member of block i.
+    Row i is a read-only memoryview of block i's packed downward_counts
+    word (subsets.unpack), not a tuple: index it, iterate it or list() it.
+    Rows of 2- or 4-byte fields cannot be hashed, nor can the matrix."""
 
     entries: tuple
     member_sizes: tuple   # common member cardinality per block

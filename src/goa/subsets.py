@@ -17,7 +17,6 @@ import re
 import sys
 from dataclasses import dataclass
 from itertools import repeat
-from math import comb
 from operator import add, mul
 from struct import calcsize
 
@@ -87,10 +86,6 @@ def enumerate_by_size(g: GroundSet, k: int):
     return out
 
 
-def complement_mask(g: GroundSet, a: int) -> int:
-    return a ^ g.full_mask
-
-
 def submasks(mask: int):
     """All submasks of mask, descending, ending with 0."""
     sub = mask
@@ -133,10 +128,6 @@ def downward_counts(blocks, n: int):
 def unpack(word: int, code: str, s: int):
     """The s fields of a downward_counts word, as a sequence of ints."""
     return memoryview(word.to_bytes(s * calcsize(code), sys.byteorder)).cast(code)
-
-
-def binom(n: int, k: int) -> int:
-    return comb(n, k) if 0 <= k <= n else 0
 
 
 def parse_subset(text: str, g: GroundSet) -> int:

@@ -158,9 +158,11 @@ def test_unknown_flag_is_usage_error(tmp_path):
     lambda d: ("verify", "--partition", str(d / "trailing.txt")),
     lambda d: ("free-index", "--group", str(d / "spaced.txt")),
     lambda d: ("verify", "--partition", str(d / "signed.txt")),
+    lambda d: ("verify", "--partition", str(d / "repeated.txt")),
 ], ids=["directory", "non-utf8-partition", "non-utf8-group", "negative-pad",
         "dimensions-negative", "dimensions-zero", "recon-size-negative", "recon-size-above-n",
-        "trailing-semicolon", "space-inside-cycle", "signed-subset-token"])
+        "trailing-semicolon", "space-inside-cycle", "signed-subset-token",
+        "repeated-member"])
 def test_crashes_are_input_errors(tmp_path, capsys, argv_of):
     (tmp_path / "latin1.txt").write_bytes("n 3\n(1,2)\n# caf\xe9\n".encode("latin-1"))
     (tmp_path / "example.txt").write_text(EXAMPLE)
@@ -169,6 +171,8 @@ def test_crashes_are_input_errors(tmp_path, capsys, argv_of):
     (tmp_path / "spaced.txt").write_text("n 12\n(1 2)\n")
     # '+1' must not read as element 1: the file would verify as the size levels
     (tmp_path / "signed.txt").write_text("n 3\n-\n+1 ; 2 ; 3\n1 2 ; 1 3 ; 2 3\n1 2 3\n")
+    # a subset listed twice in one block would verify as the size levels
+    (tmp_path / "repeated.txt").write_text("n 2\n-\n1 ; 2 ; 1\n1 2\n")
     code, out, err = run(capsys, *argv_of(tmp_path))
     assert code == 2
     assert out == ""

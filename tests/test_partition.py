@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -68,6 +69,12 @@ def test_example_is_strongly_regular(example_partition):
 
 def test_singletons_are_strongly_regular(g3):
     assert verify_strongly_regular(singletons_partition(g3)).ok
+
+
+def test_repeated_member_in_one_block_rejected():
+    g = GroundSet(2)
+    with pytest.raises(InputError, match="twice in one block"):
+        Partition.from_blocks(g, [[0], [mask_of([1]), mask_of([2]), mask_of([1])], [g.full_mask]])
 
 
 def test_mixed_sizes_fail_axiom_one():
@@ -148,7 +155,7 @@ def test_axiom_three_witness_is_first_failure_in_row_major_order(n, data):
     assert rep.witness == expected
     assert rep.counts_constant == (expected is None)
     if expected is None:
-        assert rep.counts == tuple(tuple(rows[b[0]]) for b in part.blocks)
+        assert tuple(map(tuple, rep.counts)) == tuple(tuple(rows[b[0]]) for b in part.blocks)
 
 
 # -- coefficient matrix -----------------------------------------------------
@@ -160,6 +167,17 @@ def test_coeff_matrix_example_entries(example_partition):
     assert m.entries[top_pair][pair_block] == 2
     assert all(row[0] == 1 for row in m.entries)
     assert all(m.entries[0][j] == 0 for j in range(1, m.s))
+
+
+@pytest.mark.parametrize("n, code", [(9, "B"), (11, "H")])
+def test_size_level_rows_are_binomials_in_packed_fields(n, code):
+    # at n = 11 the largest level has C(11,5) = 462 members: 2-byte fields
+    part = cardinality_partition(GroundSet(n))
+    rows = verify_strongly_regular(part).counts
+    assert all(isinstance(row, memoryview) and row.format == code for row in rows)
+    m = part.matrix
+    assert all(m.entries[k][j] == comb(k, j) for k in range(n + 1) for j in range(n + 1))
+    assert mnukhin_check(part, 2)
 
 
 def test_coeff_matrix_requires_srp():
