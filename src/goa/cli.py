@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from goa.digraphs import graph_kelly_check, hypomorphy_search
-from goa.errors import BudgetExceeded, InputError, VerificationFailure
+from goa.errors import BudgetExceeded, InputError, VerificationFailure, budget_deadline
 from goa.identities import DEFAULT_SEED, identity_suite
 from goa.incidence import bilinear_dimension_comparison
 from goa.partition import (format_partition, mnukhin_check, parse_partition_text,
@@ -44,13 +44,14 @@ def _load_group(path):
 
 
 def cmd_verify(args):
+    deadline = budget_deadline(args.budget)
     p = _load_partition(args.partition)
     rep = verify_strongly_regular(p)
     for line in rep.lines():
         print(line)
     ok = rep.ok
     if args.closure:
-        goa = verify_goa_closure(p)
+        goa = verify_goa_closure(p, deadline)
         for line in goa.lines():
             print(line)
         ok = ok and goa.closed
@@ -224,6 +225,8 @@ def build_parser():
     p.add_argument("--partition", required=True)
     p.add_argument("--closure", action="store_true",
                    help="also test closure under the lattice operators")
+    p.add_argument("--budget", type=_SECONDS, default=None,
+                   help="time budget in seconds for the whole command, checked by --closure")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("coeff", help="print the downward-count coefficient matrix")

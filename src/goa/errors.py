@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the deadline of a time budget."""
+
+import time
 
 
 class InputError(ValueError):
@@ -16,3 +18,13 @@ class VerificationFailure(RuntimeError):
 
 class BudgetExceeded(RuntimeError):
     """A search or closure exceeded its configured resource budget."""
+
+
+def budget_deadline(seconds):
+    """The time.monotonic() reading at which a budget of `seconds` runs
+    out, or None for no budget.  A budget must be a positive number."""
+    if seconds is None:
+        return None
+    if not seconds > 0:
+        raise InputError(f"budget must be a positive number of seconds, got {seconds}")
+    return time.monotonic() + seconds

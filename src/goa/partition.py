@@ -15,11 +15,12 @@ Every "is this mask-indexed vector constant on each block" question
 structure constants) goes through Partition.block_values.
 """
 
+import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from goa.errors import InputError, VerificationFailure
+from goa.errors import BudgetExceeded, InputError, VerificationFailure
 from goa.linalg import mat_inverse, mat_pow
 from goa.operators import complementation, derivation, ell_power
 from goa.poly import EPS, Poly
@@ -266,16 +267,19 @@ class GoaReport:
         return out
 
 
-def verify_goa_closure(p: Partition) -> GoaReport:
+def verify_goa_closure(p: Partition, deadline=None) -> GoaReport:
     """Is the span of the block indicator-sums closed under derivation,
     complementation, and pairwise multiplication?
 
     Membership is tested in the idempotent basis: a polynomial lies in
     the span of evaluation-constant functions iff its idempotent
     coefficients are constant on every block.  Usable on arbitrary
-    partitions; strong regularity is not assumed.
+    partitions; strong regularity is not assumed.  Past deadline (a
+    time.monotonic() reading, see errors.budget_deadline) it raises
+    BudgetExceeded.
     """
     polys = [p.block_poly(i) for i in range(len(p.blocks))]
+    total = 2 * len(polys) + len(polys) * (len(polys) + 1) // 2
 
     def images():
         for i, q in enumerate(polys):
@@ -285,7 +289,9 @@ def verify_goa_closure(p: Partition) -> GoaReport:
             for j in range(i, len(polys)):
                 yield ("multiplication", i, j), polys[i] * polys[j]
 
-    for where, image in images():
+    for checked, (where, image) in enumerate(images()):
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceeded(f"closure test checked {checked} of {total} images")
         bad = p.block_values(image.to_basis(EPS).coeffs)[1]
         if bad is not None:
             return GoaReport(False, where + (bad,), image)

@@ -19,7 +19,7 @@ EPS = "EPS"
 
 
 class Poly:
-    __slots__ = ("g", "basis", "coeffs")
+    __slots__ = ("g", "basis", "coeffs", "_terms")
 
     def __init__(self, g: GroundSet, basis: str, coeffs):
         if basis not in (P, EPS):
@@ -30,6 +30,7 @@ class Poly:
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_terms", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -91,8 +92,12 @@ class Poly:
         return not any(self.coeffs)
 
     def terms(self):
-        """Nonzero (mask, coeff) pairs, ascending mask."""
-        return [(m, c) for m, c in enumerate(self.coeffs) if c != 0]
+        """Nonzero (mask, coeff) pairs, ascending mask, as a tuple.  A Poly
+        is immutable, so the scan runs once and later calls reuse it."""
+        if self._terms is None:
+            object.__setattr__(self, "_terms",
+                               tuple((m, c) for m, c in enumerate(self.coeffs) if c != 0))
+        return self._terms
 
     # -- algebra --------------------------------------------------------
 

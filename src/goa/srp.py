@@ -6,7 +6,7 @@ but not the orbit partition of any permutation group.
 import time
 from dataclasses import dataclass, field
 
-from goa.errors import InputError, VerificationFailure
+from goa.errors import InputError, VerificationFailure, budget_deadline
 from goa.partition import (Partition, merge_blocks, verify_goa_closure,
                            verify_strongly_regular)
 from goa.perms import (close_generators, orbit_partition, parse_permutation,
@@ -55,11 +55,9 @@ def enumerate_strongly_regular(g: GroundSet, budget_seconds=None):
     n = g.n
     if n > 5:
         raise InputError("strongly regular enumeration supports n <= 5")
-    if budget_seconds is not None and not budget_seconds > 0:
-        raise InputError(f"budget must be a positive number of seconds, got {budget_seconds}")
     if n == 5 and budget_seconds is None:
         budget_seconds = 300.0
-    deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
+    deadline = budget_deadline(budget_seconds)
     levels = [enumerate_by_size(g, k) for k in range(n + 1)]
     full = g.full_mask
     results = []

@@ -11,18 +11,32 @@ downward_counts, the packed table of per-block counts inside each mask,
 all run through it.  Reversing a vector indexed by masks moves entry x to
 full - x, the complement of x: reversal is complementation, and it turns
 superset sums into subset sums.
+
+subset_sum has two routes with the same results.  When every entry and
+the weight are ints and the bound max|c| * (1+|w|)^n on every value the
+transform forms is below 2^63, the vector is packed into one Python int,
+one signed 1-, 2-, 4- or 8-byte field per entry, and each of the n passes
+is a few big-int operations over all fields at once.  Fraction entries
+and larger bounds (downward_counts' multi-field words among them) take
+the list loop, which is also the packed route's test oracle.
 """
 
 import re
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from operator import add, mul
-from struct import calcsize
+from struct import calcsize, error as StructError, pack, unpack_from
 
 from goa.errors import InputError
 
 MAX_N_VECTOR = 20   # 2^n coefficient vectors stay practical up to here
+# signed struct codes of the packed subset_sum fields (1, 2, 4 and 8 bytes),
+# narrowest first, each with 2^(bits-1): a bound must lie below it to fit
+_FIELDS = tuple((code, 1 << 8 * calcsize("<" + code) - 1) for code in "bhiq")
+# a set of pass masks of at most this many bytes in all is kept for the next call
+_KEPT_MASK_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -98,17 +112,81 @@ def submasks(mask: int):
 
 def subset_sum(c, n: int, w):
     """Entry x of the result is the sum over submasks y of x of
-    w^(|x|-|y|) * c[y], for a vector c of length 2^n; returns a new list.
+    w^(|x|-|y|) * c[y], for a sequence c of length 2^n; returns a new list.
 
-    w = 1 is the zeta transform and w = -1 its Moebius inverse.  Each of
-    the n passes handles the lowest index bit and rotates the bits right
-    by one, so after n passes the index order is restored.
+    w = 1 is the zeta transform and w = -1 its Moebius inverse.  Every
+    result and every intermediate value is at most max|c| * (1+|w|)^n in
+    absolute value.  When c holds only ints, w is an int and that bound
+    fits a signed 8-byte field, the packed route runs (_packed_sum, in the
+    narrowest of 1, 2, 4, 8 bytes whose signed range holds the bound);
+    otherwise the list loop runs (_list_sum).  Both give exact ints for
+    int input, and c is never modified.
     """
+    if len(c) != 1 << n:
+        raise InputError(f"a vector over {n} points has {1 << n} entries, got {len(c)}")
+    if isinstance(w, int):
+        bound = max(max(c), -min(c)) * (1 + abs(w)) ** n
+        code = next((t for t, limit in _FIELDS if bound < limit), None)
+        if code is not None:
+            try:
+                packed = pack(f"<{len(c)}{code}", *c)
+            except StructError:   # a Fraction entry
+                pass
+            else:
+                return _packed_sum(packed, code, n, w)
+    return _list_sum(c, n, w)
+
+
+def _list_sum(c, n: int, w):
+    """subset_sum by a list loop, for entries of any exact type.  Each of
+    the n passes handles the lowest index bit and rotates the bits right
+    by one, so after n passes the index order is restored."""
     c = list(c)
     for _ in range(n):
         even = c[0::2]
         c = even + list(map(add, c[1::2], even if w == 1 else map(mul, repeat(w), even)))
     return c
+
+
+def _packed_sum(data: bytes, code: str, n: int, w):
+    """subset_sum of the 2^n little-endian signed fields of struct code
+    `code` in data, whose bound fits a field.
+
+    Field i of one int x holds entry i plus 2^(bits-1) (the bias), so every
+    field is nonnegative and x is their exact base-2^bits expansion.  Pass k
+    adds w times each field whose index has bit k clear to the field 2^k
+    above it; removing the bias first lets one formula serve any integer w
+    and signed entries, and the bound keeps every field in its range, so no
+    field ever carries into the next.  The struct formats name the byte
+    order, so the layout is the same on every host.
+    """
+    size = calcsize("<" + code)
+    bits = 8 * size
+    count = 1 << n
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+    x = int.from_bytes(data, "little") ^ bias
+    lows = _kept_masks(n, size) if n * count * size <= _KEPT_MASK_BYTES else _pass_masks(n, size)
+    for k, low in enumerate(lows):
+        d = (x & low) - (bias & low)
+        x += (d if w == 1 else w * d) << (bits << k)
+    return list(unpack_from(f"<{count}{code}", (x ^ bias).to_bytes(count * size, "little")))
+
+
+def _pass_masks(n: int, size: int):
+    """For each pass k < n, the int whose size-byte fields are all ones
+    where the field index has bit k clear, and zero elsewhere."""
+    count = 1 << n
+    for k in range(n):
+        run = size << k                  # bytes in 2^k consecutive fields
+        yield int.from_bytes((b"\xff" * run + bytes(run)) * (count >> k + 1), "little")
+
+
+@lru_cache(maxsize=1)
+def _kept_masks(n: int, size: int):
+    """_pass_masks of the last (n, size) whose whole set fits in
+    _KEPT_MASK_BYTES; only one set is kept, so at any n the kept masks stay
+    under that cap."""
+    return tuple(_pass_masks(n, size))
 
 
 def downward_counts(blocks, n: int):

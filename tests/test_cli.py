@@ -12,6 +12,7 @@ from goa.cli import main
 from goa.errors import InputError
 from goa.partition import format_partition, parse_partition_text
 from goa.perms import close_generators, format_permutation, orbit_partition, parse_group_text
+from goa.recon import lovasz_tight_instance
 
 EXAMPLE = "n 3\n-\n1 ; 2\n3\n1 2\n1 3 ; 2 3\n1 2 3\n"
 
@@ -230,6 +231,23 @@ def test_number_flags_read_only_ascii_decimal_text(capsys, argv):
     out = capsys.readouterr()
     assert out.out == ""
     assert "invalid" in out.err
+
+
+def test_verify_closure_budget_exits_3_and_a_nonpositive_one_exits_2(tmp_path, capsys):
+    group, _, _ = lovasz_tight_instance(4, pad=1)       # n = 9, 164 blocks
+    f = tmp_path / "p.txt"
+    f.write_text(format_partition(orbit_partition(group)) + "\n")
+    argv = ("verify", "--partition", str(f), "--closure", "--budget")
+    code, out, err = run(capsys, *argv, "0.000001")
+    assert code == 3
+    assert out.endswith("axiom-3 constant-counts: True\n")
+    assert err.startswith("budget exceeded: closure test checked ")
+    assert err.endswith(" of 13858 images\n")
+    for budget in ("0", "-1"):
+        code, out, err = run(capsys, *argv, budget)
+        assert code == 2
+        assert out == ""
+        assert "budget" in err
 
 
 def test_negative_seed_and_decimal_budget_stay_valid(capsys):

@@ -19,12 +19,12 @@ def rational_polys(n, basis=P):
 def test_multiply_square_by_hand(g3):
     # (x1+x2)^2 expanded with x_i^2 = x_i: x1 + x2 + 2 x1x2
     q = Poly.term(g3, mask_of([1])) + Poly.term(g3, mask_of([2]))
-    assert (q * q).terms() == [(mask_of([1]), 1), (mask_of([2]), 1), (mask_of([1, 2]), 2)]
+    assert (q * q).terms() == ((mask_of([1]), 1), (mask_of([2]), 1), (mask_of([1, 2]), 2))
 
 
 def test_multiply_union_absorbs(g3):
     assert (Poly.term(g3, mask_of([1])) * Poly.term(g3, mask_of([1, 2]))).terms() \
-        == [(mask_of([1, 2]), 1)]
+        == ((mask_of([1, 2]), 1),)
 
 
 def test_eps_multiplication_is_pointwise(g3):
@@ -52,7 +52,21 @@ def test_change_basis_examples():
     assert eps_empty == Poly.term(g1, 0) - Poly.term(g1, 1)
     g2 = GroundSet(2)
     p1 = Poly.term(g2, mask_of([1])).to_basis(EPS)
-    assert p1.terms() == [(mask_of([1]), 1), (mask_of([1, 2]), 1)]
+    assert p1.terms() == ((mask_of([1]), 1), (mask_of([1, 2]), 1))
+
+
+@given(rational_polys(3), rational_polys(3))
+@settings(max_examples=40, deadline=None)
+def test_terms_is_an_immutable_tuple_equal_to_a_fresh_scan(p, q):
+    scan = tuple((m, c) for m, c in enumerate(p.coeffs) if c != 0)
+    t = p.terms()
+    assert type(t) is tuple and t == scan
+    assert all(type(pair) is tuple for pair in t)
+    product = p * q                      # a product reads both factors' terms
+    assert p.terms() is t and p.terms() == scan
+    assert product.terms() == tuple((m, c) for m, c in enumerate(product.coeffs) if c != 0)
+    with pytest.raises(AttributeError):
+        p._terms = ()
 
 
 @given(rational_polys(4))

@@ -2,12 +2,14 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from goa import subsets
 from goa.errors import InputError
-from goa.subsets import (GroundSet, downward_counts, enumerate_by_size, format_subset, mask_of,
-                         parse_header, parse_subset, popcount, submasks, subset_sum, unpack)
+from goa.subsets import (GroundSet, _list_sum, downward_counts, enumerate_by_size, format_subset,
+                         mask_of, parse_header, parse_subset, popcount, submasks, subset_sum,
+                         unpack)
 
 
 def test_enumerate_examples():
@@ -116,6 +118,115 @@ def test_subset_sum_accepts_a_tuple_and_leaves_its_input_unchanged(nc, w):
     t = tuple(c)
     assert subset_sum(t, n, w) == subset_sum(c, n, w)
     assert t == tuple(before) and c == before
+
+
+# -- the packed route of subset_sum ------------------------------------------
+
+PACKED_WEIGHTS = (-3, -2, -1, 1, 2, 3)
+# the signed range of each field width, with the field codes of a bound just
+# inside it and of a bound that reaches it (None: the list loop)
+FIELD_LIMITS = [(1 << 7, "b", "h"), (1 << 15, "h", "i"), (1 << 31, "i", "q"), (1 << 63, "q", None)]
+
+
+def direct_sum(c, n, w):
+    return [sum(w ** (popcount(x) - popcount(y)) * c[y] for y in submasks(x))
+            for x in range(1 << n)]
+
+
+def spy_routes(monkeypatch):
+    """A list that gets, per subset_sum call, the packed field code or None
+    for the list loop."""
+    taken = []
+    packed, listed = subsets._packed_sum, subsets._list_sum
+
+    def spy_packed(data, code, n, w):
+        taken.append(code)
+        return packed(data, code, n, w)
+
+    def spy_listed(c, n, w):
+        taken.append(None)
+        return listed(c, n, w)
+
+    monkeypatch.setattr(subsets, "_packed_sum", spy_packed)
+    monkeypatch.setattr(subsets, "_list_sum", spy_listed)
+    return taken
+
+
+def attaining(m, n, w):
+    """A vector of entries +-m whose value at the full mask is
+    m * (1+|w|)^n, the bound on every value of the transform."""
+    sign = 1 if w > 0 else -1
+    return [m * sign ** (n - popcount(y)) for y in range(1 << n)]
+
+
+@st.composite
+def packed_cases(draw):
+    """(n, w, c): int entries whose bound max|c| * (1+|w|)^n lies just
+    inside a field's signed range, or at or just past its limit."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    w = draw(st.sampled_from(PACKED_WEIGHTS))
+    limit = draw(st.sampled_from([f[0] for f in FIELD_LIMITS]))
+    m = max(1, (limit - 1) // (1 + abs(w)) ** n + draw(st.integers(0, 1)))
+    c = draw(st.lists(st.integers(-m, m), min_size=1 << n, max_size=1 << n))
+    c[draw(st.integers(0, (1 << n) - 1))] = draw(st.sampled_from([m, -m]))
+    return n, w, c
+
+
+@given(packed_cases())
+@settings(deadline=None)
+def test_packed_route_matches_the_list_loop_and_a_direct_sum(nwc):
+    n, w, c = nwc
+    t = tuple(c)
+    out = subset_sum(t, n, w)
+    assert t == tuple(c)
+    assert out == _list_sum(c, n, w)
+    assert all(type(v) is int for v in out)
+    if n <= 6:
+        assert out == direct_sum(c, n, w)
+
+
+@pytest.mark.parametrize("limit, inside, past", FIELD_LIMITS)
+def test_field_width_at_and_one_past_each_boundary(monkeypatch, limit, inside, past):
+    taken = spy_routes(monkeypatch)
+    for n in range(9):
+        for w in PACKED_WEIGHTS:
+            # the largest max|c| whose bound fits, then one more, which puts
+            # the bound at the limit or past it; attaining vectors reach it
+            m = (limit - 1) // (1 + abs(w)) ** n
+            if m == 0:                  # (1+|w|)^n alone is past the limit
+                continue
+            for entries, code in ((m, inside), (m + 1, past)):
+                for c in (attaining(entries, n, w), [-v for v in attaining(entries, n, w)]):
+                    del taken[:]
+                    out = subset_sum(c, n, w)
+                    assert taken == [code], (n, w, entries)
+                    assert out == _list_sum(c, n, w)
+                    assert all(type(v) is int for v in out)
+                    assert abs(out[-1]) == entries * (1 + abs(w)) ** n
+
+
+def test_fraction_mixed_and_wide_vectors_take_the_list_loop(monkeypatch):
+    taken = spy_routes(monkeypatch)
+    cases = [
+        ([Fraction(1, 2), Fraction(-3, 4), Fraction(5), Fraction(0)], 2, 1),
+        ([1, Fraction(1, 3), 2, -4], 2, -1),
+        ([Fraction(2), 1], 1, 3),
+        ([1 << 61, -1, 3, 0], 2, 1),         # bound 2^63
+        ([1 << 70, 1], 1, 2),
+    ]
+    for c, n, w in cases:
+        out = subset_sum(c, n, w)
+        assert out == direct_sum(c, n, w)
+    assert taken == [None] * len(cases)
+    assert subset_sum([Fraction(2), 1], 1, 3) == [2, 7]
+    assert type(subset_sum([Fraction(2), 1], 1, 3)[0]) is Fraction
+
+
+@pytest.mark.parametrize("c, n", [([1, 2, 3], 2), ([1] * 4, 1), ([1] * 2, 3), ([], 0),
+                                  ([Fraction(1)] * 3, 2), ([1 << 70] * 5, 2)])
+def test_subset_sum_rejects_a_vector_of_the_wrong_length(c, n):
+    with pytest.raises(InputError, match="entries"):
+        subset_sum(c, n, 1)
 
 
 @st.composite
