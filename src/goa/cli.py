@@ -44,6 +44,8 @@ def _load_group(path):
 
 
 def cmd_verify(args):
+    if args.budget is not None and not args.closure:
+        raise InputError("--budget bounds the --closure test; give it with --closure")
     deadline = budget_deadline(args.budget)
     p = _load_partition(args.partition)
     rep = verify_strongly_regular(p)
@@ -226,7 +228,8 @@ def build_parser():
     p.add_argument("--closure", action="store_true",
                    help="also test closure under the lattice operators")
     p.add_argument("--budget", type=_SECONDS, default=None,
-                   help="time budget in seconds for the whole command, checked by --closure")
+                   help="time budget in seconds for the --closure test, counted from the start "
+                        "of the command (needs --closure)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("coeff", help="print the downward-count coefficient matrix")

@@ -17,8 +17,9 @@ the weight are ints and the bound max|c| * (1+|w|)^n on every value the
 transform forms is below 2^63, the vector is packed into one Python int,
 one signed 1-, 2-, 4- or 8-byte field per entry, and each of the n passes
 is a few big-int operations over all fields at once.  Fraction entries
-and larger bounds (downward_counts' multi-field words among them) take
-the list loop, which is also the packed route's test oracle.
+and larger bounds take the list loop, which is also the packed route's
+test oracle.  downward_counts calls the list loop directly: its entries
+are multi-field words, wide by construction.
 """
 
 import re
@@ -35,8 +36,6 @@ MAX_N_VECTOR = 20   # 2^n coefficient vectors stay practical up to here
 # signed struct codes of the packed subset_sum fields (1, 2, 4 and 8 bytes),
 # narrowest first, each with 2^(bits-1): a bound must lie below it to fit
 _FIELDS = tuple((code, 1 << 8 * calcsize("<" + code) - 1) for code in "bhiq")
-# a set of pass masks of at most this many bytes in all is kept for the next call
-_KEPT_MASK_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -165,28 +164,27 @@ def _packed_sum(data: bytes, code: str, n: int, w):
     count = 1 << n
     bias = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
     x = int.from_bytes(data, "little") ^ bias
-    lows = _kept_masks(n, size) if n * count * size <= _KEPT_MASK_BYTES else _pass_masks(n, size)
-    for k, low in enumerate(lows):
+    for k, low in enumerate(_pass_masks(n, size)):
         d = (x & low) - (bias & low)
         x += (d if w == 1 else w * d) << (bits << k)
     return list(unpack_from(f"<{count}{code}", (x ^ bias).to_bytes(count * size, "little")))
 
 
+@lru_cache(maxsize=1)
 def _pass_masks(n: int, size: int):
     """For each pass k < n, the int whose size-byte fields are all ones
-    where the field index has bit k clear, and zero elsewhere."""
+    where the field index has bit k clear, and zero elsewhere.
+
+    Only the last (n, size) set is kept: n * 2^n * size bytes, 2 MB at
+    n = 16 with 2-byte fields and 80 MB at n = 20 with 4-byte fields.
+    Transforms in a row mostly share one size, and building the set takes
+    a fifth to half as long as one transform."""
     count = 1 << n
+    masks = []
     for k in range(n):
         run = size << k                  # bytes in 2^k consecutive fields
-        yield int.from_bytes((b"\xff" * run + bytes(run)) * (count >> k + 1), "little")
-
-
-@lru_cache(maxsize=1)
-def _kept_masks(n: int, size: int):
-    """_pass_masks of the last (n, size) whose whole set fits in
-    _KEPT_MASK_BYTES; only one set is kept, so at any n the kept masks stay
-    under that cap."""
-    return tuple(_pass_masks(n, size))
+        masks.append(int.from_bytes((b"\xff" * run + bytes(run)) * (count >> k + 1), "little"))
+    return tuple(masks)
 
 
 def downward_counts(blocks, n: int):
@@ -200,7 +198,7 @@ def downward_counts(blocks, n: int):
         bit = 1 << 8 * calcsize(code) * j   # shared: vec holds s big ints, not 2^n
         for m in block:
             vec[m] = bit
-    return subset_sum(vec, n, 1), code
+    return _list_sum(vec, n, 1), code
 
 
 def unpack(word: int, code: str, s: int):

@@ -248,6 +248,10 @@ def test_verify_closure_budget_exits_3_and_a_nonpositive_one_exits_2(tmp_path, c
         assert code == 2
         assert out == ""
         assert "budget" in err
+    code, out, err = run(capsys, "verify", "--partition", str(f), "--budget", "5")
+    assert code == 2
+    assert out == ""
+    assert "--closure" in err
 
 
 def test_negative_seed_and_decimal_budget_stay_valid(capsys):
