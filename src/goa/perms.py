@@ -4,7 +4,7 @@ the powerset, and setwise stabilizers of powerset partitions.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from goa.errors import BudgetExceeded, InputError
 from goa.partition import Partition
@@ -92,9 +92,24 @@ def action_table(sigma, g: GroundSet):
 
 @dataclass(frozen=True)
 class PermGroup:
+    """A permutation group on the points of g, given by its generators.
+
+    `elements` (sorted) and `order` are computed on first read, by
+    close_generators with DEFAULT_CLOSURE_CAP, so they raise BudgetExceeded
+    for a group larger than the cap; orbit_partition reads only the
+    generators and never closes the group.  close_generators and
+    partition_stabilizer, which hold every element already, pass them in.
+    """
     g: GroundSet
     generators: tuple
-    elements: tuple
+    _elements: tuple = field(default=None, repr=False, compare=False)
+
+    @property
+    def elements(self):
+        if self._elements is None:
+            closed = close_generators(self.g, self.generators, DEFAULT_CLOSURE_CAP)
+            object.__setattr__(self, "_elements", closed.elements)
+        return self._elements
 
     @property
     def order(self):
@@ -126,9 +141,41 @@ def close_generators(g: GroundSet, gens, cap=DEFAULT_CLOSURE_CAP) -> PermGroup:
     return PermGroup(g, gens, tuple(sorted(els)))
 
 
+def _sims_filter(gens):
+    """A generating set of the group <gens>, of at most min(len(gens),
+    n(n-1)/2) members (Sims' filter; Seress, Permutation Group Algorithms,
+    2003).  Each permutation sigma is sifted through a table keyed by
+    (i, sigma(i)), i its first moved point: an empty slot keeps sigma; a
+    filled one, holding t, replaces sigma by t^-1 . sigma, which fixes
+    1..i, and the sift goes on.  A permutation that sifts to the identity
+    is dropped.  Each kept member is a product of the kept ones before it
+    and the input, and each input one of the kept members, so both sets
+    generate the same group."""
+    inverses = {}   # (i, t(i)) -> t^-1 with a 0 in front, so that x indexes t^-1(x)
+    kept = []
+    for sigma in gens:
+        n = len(sigma)
+        for i in range(n):
+            if sigma[i] == i + 1:
+                continue
+            slot = (i, sigma[i])
+            t_inv = inverses.get(slot)
+            if t_inv is None:
+                inv = [0] * (n + 1)
+                for x, y in enumerate(sigma, 1):
+                    inv[y] = x
+                inverses[slot] = tuple(inv)
+                kept.append(sigma)
+                break
+            sigma = tuple(map(t_inv.__getitem__, sigma))
+    return kept
+
+
 def orbit_partition(group: PermGroup) -> Partition:
-    """The partition of all 2^n masks into group orbits (union-find over
-    generator edges; linear in 2^n per generator)."""
+    """The partition of all 2^n masks into group orbits: union-find over
+    the edges m -> sigma(m) of each generator that _sims_filter keeps, so
+    linear in 2^n per kept generator, of which there are at most
+    n(n-1)/2 however many the group was given by."""
     g = group.g
     if g.n > 16:
         raise InputError("orbit partition on the powerset requires n <= 16")
@@ -140,7 +187,7 @@ def orbit_partition(group: PermGroup) -> Partition:
             x = parent[x]
         return x
 
-    for sigma in (group.generators or group.elements):
+    for sigma in _sims_filter(group.generators):
         table = action_table(sigma, g)
         for m in range(g.size):
             a, b = find(m), find(table[m])
@@ -198,7 +245,8 @@ def partition_stabilizer(p: Partition) -> PermGroup:
 
 def parse_group_text(text: str) -> PermGroup:
     """Group file: line 1 'n <int>', then one generator per nonempty line
-    in cycle notation; '#' starts a comment line."""
+    in cycle notation; '#' starts a comment line.  Every generator is
+    checked here; the group's elements are computed only when read."""
     g, body = parse_header(text, "group")
     gens = []
     for lineno, line in body:
@@ -206,7 +254,7 @@ def parse_group_text(text: str) -> PermGroup:
             gens.append(parse_permutation(line, g))
         except InputError as exc:
             raise InputError(f"line {lineno}: {exc}") from None
-    return close_generators(g, gens)
+    return PermGroup(g, tuple(gens))
 
 
 def format_group(group: PermGroup) -> str:

@@ -202,8 +202,11 @@ def downward_counts(blocks, n: int):
 
 
 def unpack(word: int, code: str, s: int):
-    """The s fields of a downward_counts word, as a sequence of ints."""
-    return memoryview(word.to_bytes(s * calcsize(code), sys.byteorder)).cast(code)
+    """The s fields of a downward_counts word, as a read-only memoryview
+    of ints: field j is (word >> bits*j) & (2^bits - 1)."""
+    fields = memoryview(word.to_bytes(s * calcsize(code), sys.byteorder)).cast(code)
+    # big-endian bytes hold each field in native order but the last field first
+    return fields if sys.byteorder == "little" else fields[::-1]
 
 
 def parse_subset(text: str, g: GroundSet) -> int:

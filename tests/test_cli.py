@@ -89,6 +89,17 @@ def test_group_range_error(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_orbits_of_s10_from_two_generators(tmp_path, capsys):
+    # 10! elements are past the closure cap; the orbits need only the generators
+    f = tmp_path / "g.txt"
+    f.write_text("n 10\n(1,2)\n(1,2,3,4,5,6,7,8,9,10)\n")
+    code, out, err = run(capsys, "orbits", "--group", str(f))
+    assert (code, err) == (0, "")
+    part = parse_partition_text(out)
+    assert len(part.blocks) == 11
+    assert all(len({bin(m).count("1") for m in b}) == 1 for b in part.blocks)
+
+
 def test_identities_command(capsys):
     code, out, _ = run(capsys, "identities", "--n", "3")
     assert code == 0

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_group
-from goa import GroundSet, Partition
+from goa import GroundSet, Partition, perms
 from goa.errors import BudgetExceeded, InputError
-from goa.perms import (act_on_subset, action_table, close_generators, compose,
-                       format_permutation, format_group, identity_perm, orbit_partition,
-                       parse_group_text, parse_permutation, partition_stabilizer)
+from goa.perms import (PermGroup, _sims_filter, act_on_subset, action_table, close_generators,
+                       compose, format_permutation, format_group, identity_perm,
+                       orbit_partition, parse_group_text, parse_permutation,
+                       partition_stabilizer)
 from goa.subsets import mask_of, popcount
 
 
@@ -176,3 +177,54 @@ def test_group_file_errors():
         parse_group_text("n 8\n(1,9)\n")
     with pytest.raises(InputError, match="header"):
         parse_group_text("(1,2)\n")
+
+
+def brute_force_orbits(g, elements):
+    """Orbit of m = {sigma(m) : sigma in elements}, for every mask m."""
+    seen, blocks = set(), []
+    for m in g.masks():
+        if m not in seen:
+            orbit = {act_on_subset(sigma, m) for sigma in elements}
+            seen |= orbit
+            blocks.append(orbit)
+    return Partition.from_blocks(g, blocks)
+
+
+@given(st.integers(min_value=1, max_value=6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_sims_filter_keeps_the_group_and_bounds_the_sweeps(n, data):
+    g = GroundSet(n)
+    perm = st.permutations(list(range(1, n + 1))).map(tuple)
+    gens = tuple(data.draw(st.lists(perm, min_size=0, max_size=5)))
+    elements = close_generators(g, gens).elements
+    # as given, and as the full element list partition_stabilizer returns
+    for given_gens in (gens, elements):
+        kept = _sims_filter(given_gens)
+        assert len(kept) <= min(len(given_gens), n * (n - 1) // 2)
+        # each kept member fills its own slot (first moved point i, its image)
+        slots = {next((i, k[i]) for i in range(n) if k[i] != i + 1) for k in kept}
+        assert len(slots) == len(kept)
+        assert close_generators(g, kept).elements == elements
+        sweeps = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(perms, "action_table",
+                       lambda sigma, gs: sweeps.append(sigma) or action_table(sigma, gs))
+            part = orbit_partition(PermGroup(g, given_gens))
+        assert sweeps == kept
+        assert part == brute_force_orbits(g, elements)
+
+
+def test_group_file_elements_are_lazy():
+    grp = parse_group_text("n 10\n(1,2)\n(1,2,3,4,5,6,7,8,9,10)\n")
+    assert grp.generators == ((2, 1, 3, 4, 5, 6, 7, 8, 9, 10), (2, 3, 4, 5, 6, 7, 8, 9, 10, 1))
+    assert len(orbit_partition(grp).blocks) == 11
+    small = parse_group_text("n 5\n(1,2)\n(1,2,3,4,5)\n")
+    assert small.order == 120
+    assert small.elements == close_generators(small.g, small.generators).elements
+
+
+def test_lazy_elements_keep_the_closure_cap(monkeypatch):
+    grp = parse_group_text("n 5\n(1,2)\n(1,2,3,4,5)\n")
+    monkeypatch.setattr(perms, "DEFAULT_CLOSURE_CAP", 10)
+    with pytest.raises(BudgetExceeded):
+        grp.order

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import comb
+from struct import calcsize
 
 import pytest
 from hypothesis import given, settings
@@ -263,3 +264,23 @@ def test_downward_counts_field_holds_a_full_block(sizes):
         assert list(unpack(table[c], code, 2)) == \
             [sum(1 for m in block if m & c == m) for block in blocks]
     assert list(unpack(table[-1], code, 2)) == list(sizes)
+
+
+@given(st.sampled_from("BHI"), st.integers(min_value=1, max_value=9), st.data())
+def test_unpack_field_j_is_the_word_shifted_by_j_fields(code, s, data):
+    bits = 8 * calcsize(code)
+    word = data.draw(st.integers(min_value=0, max_value=(1 << bits * s) - 1))
+    fields = unpack(word, code, s)
+    assert fields.readonly
+    assert [fields[j] for j in range(s)] == \
+        [(word >> bits * j) & ((1 << bits) - 1) for j in range(s)]
+
+
+def test_unpack_on_a_big_endian_host_keeps_field_order(monkeypatch):
+    # a one-byte field reads the same in either byte order, so the
+    # big-endian branch can run here; wider fields are checked only by reading
+    word = sum(v << 8 * j for j, v in enumerate([1, 0, 255, 7]))
+    monkeypatch.setattr(subsets.sys, "byteorder", "big")
+    fields = unpack(word, "B", 4)
+    assert fields.readonly
+    assert fields.tolist() == [1, 0, 255, 7]
