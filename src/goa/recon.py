@@ -7,7 +7,7 @@ showing both bounds tight, and the free-action reconstruction index.
 from dataclasses import dataclass
 from math import comb
 
-from goa.errors import InputError, VerificationFailure
+from goa.errors import BudgetExceeded, InputError, VerificationFailure
 from goa.partition import Partition, upward_count
 from goa.perms import PermGroup, close_generators, identity_perm, orbit_partition
 from goa.subsets import GroundSet, format_subset, mask_of, popcount
@@ -247,9 +247,17 @@ def intersection_difference_rule(p: Partition, pair: ReconPair, t: int) -> bool:
 
 
 def acts_freely(group: PermGroup) -> bool:
-    ident = identity_perm(group.g.n)
-    return all(all(s[i] != i + 1 for i in range(group.g.n))
-               for s in group.elements if s != ident)
+    """True iff no non-identity element fixes a point.  A freely acting
+    group on n points has at most n elements, so the closure stops at n:
+    a larger group answers False without its elements being listed."""
+    n = group.g.n
+    try:
+        elements = close_generators(group.g, group.generators, cap=n).elements
+    except BudgetExceeded:
+        return False
+    ident = identity_perm(n)
+    return all(all(s[i] != i + 1 for i in range(n))
+               for s in elements if s != ident)
 
 
 def maynard_siemons_index(group: PermGroup) -> int:

@@ -44,12 +44,14 @@ def enumerate_strongly_regular(g: GroundSet, budget_seconds=None):
 
     Search is level by level: a set partition of the size-k layer forces
     the size-(n-k) layer through complementation; the middle layer (even
-    n) must itself be complement-closed.  Two sets may share a block only
-    if their downward counts (and their complements') against all fixed
-    blocks, read from one downward_counts table per search node, agree;
-    the constant-count axiom is re-checked after every layer.  Supports
-    n <= 5; n = 5 completes in about 3 s with 93 partitions, well inside
-    its default 300 s budget.
+    n) must itself be complement-closed.  Each candidate (the fixed blocks
+    plus the new ones) gets one downward_counts table, and passes axiom 3
+    iff every member of each block has its first member's word: fields of
+    larger blocks are 0 and of same-size blocks [a in y], so only smaller
+    blocks can differ.  That table is handed down: two sets of the next
+    layer may share a block only if their words (and their complements')
+    agree.  Supports n <= 5; n = 5 completes in about 3 s with 93
+    partitions, well inside its default 300 s budget.
     A budget, when given, must be a positive number of seconds.
     """
     n = g.n
@@ -63,21 +65,7 @@ def enumerate_strongly_regular(g: GroundSet, budget_seconds=None):
     results = []
     state = {"complete": True}
 
-    def counts_constant(fixed, new_start):
-        for xi, (lx, x) in enumerate(fixed):
-            for yi, (ly, y) in enumerate(fixed):
-                if xi < new_start and yi < new_start:
-                    continue
-                if ly > lx:
-                    continue
-                c0 = sum(1 for b in y if b & x[0] == b)
-                for a in x[1:]:
-                    if sum(1 for b in y if b & a == b) != c0:
-                        return False
-        return True
-
-    def layer_partitions(k, fixed):
-        table, _ = downward_counts([members for _, members in fixed], n)
+    def layer_partitions(k, table):
         classes = {}
         for m in levels[k]:
             classes.setdefault((table[m], table[m ^ full]), []).append(m)
@@ -93,36 +81,32 @@ def enumerate_strongly_regular(g: GroundSet, budget_seconds=None):
 
         yield from rec(0)
 
-    def recurse(k, fixed):
+    def recurse(k, fixed, table):
         if deadline is not None and time.monotonic() > deadline:
             state["complete"] = False
             return
         if k > n - k:
-            part = Partition.from_blocks(g, [members for _, members in fixed])
+            part = Partition.from_blocks(g, fixed)
             if not verify_strongly_regular(part).ok:
                 raise VerificationFailure("search produced a non-strongly-regular partition")
             results.append(part)
             return
-        for blocks_k in layer_partitions(k, fixed):
+        for blocks_k in layer_partitions(k, table):
             if deadline is not None and time.monotonic() > deadline:
                 state["complete"] = False
                 return
-            new = [(k, tuple(sorted(b))) for b in blocks_k]
-            if k == n - k:
-                index = {m: bi for bi, b in enumerate(blocks_k) for m in b}
-                closed = all(
-                    all(index[m ^ full] == index[b[0] ^ full] for m in b)
-                    and len(b) == len(blocks_k[index[b[0] ^ full]])
-                    for b in blocks_k)
-                if not closed:
-                    continue
+            comps = [[m ^ full for m in b] for b in blocks_k]
+            if k < n - k:
+                candidate = fixed + blocks_k + comps
+            elif set(map(frozenset, comps)) == set(map(frozenset, blocks_k)):
+                candidate = fixed + blocks_k
             else:
-                new += [(n - k, tuple(sorted(m ^ full for m in b))) for b in blocks_k]
-            candidate = fixed + new
-            if counts_constant(candidate, len(fixed)):
-                recurse(k + 1, candidate)
+                continue
+            counts, _ = downward_counts(candidate, n)
+            if all(counts[m] == counts[b[0]] for b in candidate for m in b):
+                recurse(k + 1, candidate, counts)
 
-    recurse(0, [])
+    recurse(0, [], downward_counts([], n)[0])
     results.sort(key=lambda p: (len(p.blocks), p.blocks))
     return results, state["complete"]
 

@@ -100,6 +100,16 @@ def test_orbits_of_s10_from_two_generators(tmp_path, capsys):
     assert all(len({bin(m).count("1") for m in b}) == 1 for b in part.blocks)
 
 
+def test_free_index_refuses_s10_without_listing_it(tmp_path, capsys):
+    # a free action on 10 points has at most 10 elements; S_10 is refused
+    # as soon as its closure passes 10, not after 10! elements
+    f = tmp_path / "g.txt"
+    f.write_text("n 10\n(1,2)\n(1,2,3,4,5,6,7,8,9,10)\n")
+    code, out, err = run(capsys, "free-index", "--group", str(f))
+    assert (code, out) == (2, "")
+    assert "does not act freely" in err
+
+
 def test_identities_command(capsys):
     code, out, _ = run(capsys, "identities", "--n", "3")
     assert code == 0

@@ -6,7 +6,7 @@ from conftest import random_group
 from goa import GroundSet
 from goa.errors import InputError
 from goa.partition import Partition, coeff_matrix, upward_count
-from goa.perms import close_generators, orbit_partition, parse_permutation
+from goa.perms import PermGroup, close_generators, orbit_partition, parse_permutation
 from goa.recon import (acts_freely, deck, e_block_entry,
                        exact_intersection_counts, intersection_difference_rule,
                        intersection_sum_rule, kelly_check, lovasz_check,
@@ -201,7 +201,16 @@ def test_free_index_cycles():
         cycle = tuple(list(range(2, p + 1)) + [1])
         group = close_generators(g, [cycle])
         assert acts_freely(group)
+        assert acts_freely(PermGroup(g, (cycle,)))   # generators only
         assert maynard_siemons_index(group) <= 5
+
+
+def test_acts_freely_stops_closing_past_n():
+    g = GroundSet(10)
+    s10 = PermGroup(g, (parse_permutation("(1,2)", g),
+                        parse_permutation("(1,2,3,4,5,6,7,8,9,10)", g)))
+    assert not acts_freely(s10)
+    assert s10._elements is None
 
 
 def test_coeff_matrix_built_once_per_partition(monkeypatch):

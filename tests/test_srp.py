@@ -6,7 +6,7 @@ from goa.partition import verify_goa_closure, verify_strongly_regular
 from goa.perms import close_generators, orbit_partition, parse_permutation
 from goa.srp import (build_counterexample, enumerate_strongly_regular,
                      is_orbit_partition)
-from goa.subsets import mask_of, popcount
+from goa.subsets import downward_counts, mask_of, popcount
 
 
 def test_example_partition_is_realizable(example_partition):
@@ -52,14 +52,67 @@ def test_enumeration_everything_verifies_and_realizes():
             assert is_orbit_partition(p)[0]
 
 
+def restricted_growth_strings(length):
+    """Every a_0..a_{length-1} with a_0 = 0 and a_i <= 1 + max(a_0..a_{i-1}):
+    one string per set partition of range(length)."""
+    def extend(prefix, top):
+        if len(prefix) == length:
+            yield prefix
+            return
+        for label in range(top + 2):
+            yield from extend(prefix + [label], max(top, label))
+    yield from extend([0], 0)
+
+
+@pytest.mark.parametrize("n, bell", ((2, 15), (3, 4140)))
+def test_enumeration_matches_brute_force(n, bell):
+    # every set partition of the 2^n masks, kept when axioms 1-3 hold
+    g = GroundSet(n)
+    strings = list(restricted_growth_strings(g.size))
+    assert len(strings) == bell
+    brute = set()
+    for labels in strings:
+        blocks = {}
+        for m, label in enumerate(labels):
+            blocks.setdefault(label, []).append(m)
+        p = Partition.from_blocks(g, list(blocks.values()))
+        if verify_strongly_regular(p).ok:
+            brute.add(p)
+    parts, complete = enumerate_strongly_regular(g)
+    assert complete
+    assert len(parts) == len(set(parts))
+    assert set(parts) == brute
+
+
+def test_enumeration_tables_only_complement_closed_middle_layers(monkeypatch):
+    # axiom 2 on the middle layer (even n) is tested before any table is
+    # built: a middle block's complement is a block of the same candidate
+    from goa import srp
+    families = []
+
+    def recording(blocks, n):
+        families.append((n, [frozenset(b) for b in blocks]))
+        return downward_counts(blocks, n)
+
+    monkeypatch.setattr(srp, "downward_counts", recording)
+    for n in (2, 4):
+        enumerate_strongly_regular(GroundSet(n))
+    middles = [({b for b in blocks if 2 * popcount(min(b)) == n}, (1 << n) - 1)
+               for n, blocks in families]
+    assert sum(len(middle) for middle, _ in middles) > 10
+    for middle, full in middles:
+        assert {frozenset(m ^ full for m in b) for b in middle} == middle
+
+
 def test_enumeration_contains_example(example_partition):
     parts, _ = enumerate_strongly_regular(GroundSet(3))
     assert example_partition in parts
 
 
 def test_enumeration_best_effort_at_five():
-    # one level past the required range: the profile pruning finishes n=5
-    # quickly, and every partition found is still realized by a group
+    # one level past the required range: grouping each layer by its
+    # downward-count words finishes n=5 in seconds, and every partition
+    # found is still realized by a group
     # (the count 93 is this run's finding, pinned as a regression value)
     parts, complete = enumerate_strongly_regular(GroundSet(5), budget_seconds=240)
     assert complete
