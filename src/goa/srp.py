@@ -5,8 +5,9 @@ but not the orbit partition of any permutation group.
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain, product
 
-from goa.errors import InputError, VerificationFailure, budget_deadline
+from goa.errors import BudgetExceeded, InputError, VerificationFailure, budget_deadline
 from goa.partition import (Partition, merge_blocks, verify_goa_closure,
                            verify_strongly_regular)
 from goa.perms import (close_generators, orbit_partition, parse_permutation,
@@ -14,8 +15,8 @@ from goa.perms import (close_generators, orbit_partition, parse_permutation,
 from goa.subsets import GroundSet, downward_counts, enumerate_by_size, format_subset, mask_of
 
 
-def is_orbit_partition(p: Partition):
-    """(flag, witness group).
+def is_orbit_partition(p: Partition, budget_seconds=None):
+    """(flag, witness group); budget_seconds bounds the stabilizer search.
 
     A partition is the orbit partition of some group iff it equals the
     orbit partition of its own setwise stabilizer H: any realizing group
@@ -23,92 +24,126 @@ def is_orbit_partition(p: Partition):
     so orbits(H) refines p.  Equality is therefore exact realizability,
     and H is the witness.
     """
-    h = partition_stabilizer(p)
+    h = partition_stabilizer(p, budget_seconds)
     return orbit_partition(h) == p, h
-
-
-def _set_partitions(items):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for sub in _set_partitions(rest):
-        for i in range(len(sub)):
-            yield sub[:i] + [[first] + sub[i]] + sub[i + 1:]
-        yield [[first]] + sub
 
 
 def enumerate_strongly_regular(g: GroundSet, budget_seconds=None):
     """All strongly regular partitions of the powerset, as
     (partitions, completed) with completed False on budget exhaustion.
 
-    Search is level by level: a set partition of the size-k layer forces
-    the size-(n-k) layer through complementation; the middle layer (even
-    n) must itself be complement-closed.  Each candidate (the fixed blocks
-    plus the new ones) gets one downward_counts table, and passes axiom 3
-    iff every member of each block has its first member's word: fields of
-    larger blocks are 0 and of same-size blocks [a in y], so only smaller
-    blocks can differ.  That table is handed down: two sets of the next
-    layer may share a block only if their words (and their complements')
-    agree.  Supports n <= 5; n = 5 completes in about 3 s with 93
-    partitions, well inside its default 300 s budget.
-    A budget, when given, must be a positive number of seconds.
+    Search is layer by layer, k = 0, 1, ..., n/2, and within a layer one
+    block at a time.  A block is the first unplaced set of size k together
+    with any subset of the unplaced rest of its class; below the middle
+    its complement block (each member replaced by its complement) is
+    placed with it.  In the middle layer (even n) a block is either its
+    own complement, or disjoint from its complement, which is then placed
+    as a second block.
+
+    After each placement, axiom 3 (every x in X holds the same number of
+    members of Y) is tested on each pair (X, Y) with Y a new block and X
+    a block of a layer above n - k.  That number depends only on X and Y,
+    so a failing pair prunes every completion.  Every other pair with a
+    new block holds already:
+    - a member of Y lies inside x only if it is smaller than x or is x;
+    - for X new and Y of a layer below k, the count is part of the class
+      words at m and m ^ full;
+    - for X of size n - k and Y of size k, both of this layer, write
+      X = B^c.  The members of Y inside b^c (b in B) are those disjoint
+      from b, and by inclusion-exclusion their number is (-1)^k [b in Y]
+      plus, over each block S below k, (-1)^|S| times the number of s in
+      S inside b (a class word) times the number of members of Y^c
+      inside s^c (fixed by the tested pair (S^c, Y^c)).
+
+    A full layer gets one downward_counts table of all placed blocks,
+    which groups the next layer into classes: two sets may share a block
+    only if their words (and their complements') agree.  The same table
+    cross-checks axiom 3 on the whole layer (VerificationFailure if it
+    fails), and each partition found is cross-checked by
+    verify_strongly_regular.  Supports n <= 6: n = 5 completes in about
+    0.1 s with 93 partitions and n = 6 in about 2-3 s with 955, both
+    under a default 300 s budget.  A budget, when given, must be a
+    positive number of seconds.
     """
     n = g.n
-    if n > 5:
-        raise InputError("strongly regular enumeration supports n <= 5")
-    if n == 5 and budget_seconds is None:
+    if n > 6:
+        raise InputError("strongly regular enumeration supports n <= 6")
+    if n >= 5 and budget_seconds is None:
         budget_seconds = 300.0
     deadline = budget_deadline(budget_seconds)
     levels = [enumerate_by_size(g, k) for k in range(n + 1)]
     full = g.full_mask
+    below = [1]     # below[x] has bit s set iff s is a subset of x
+    for i in range(n):
+        below += [d | d << (1 << i) for d in below]
     results = []
-    state = {"complete": True}
 
-    def layer_partitions(k, table):
-        classes = {}
-        for m in levels[k]:
-            classes.setdefault((table[m], table[m ^ full]), []).append(m)
-        class_lists = sorted(classes.values())
+    def fits(ys, xs_blocks):
+        """Whether, for each block X in xs_blocks, every member of X holds
+        the same number of members of ys."""
+        ybits = sum(1 << y for y in ys)
+        return all(len({(below[x] & ybits).bit_count() for x in xs}) == 1 for xs in xs_blocks)
 
-        def rec(idx):
-            if idx == len(class_lists):
-                yield []
-                return
-            for head in _set_partitions(class_lists[idx]):
-                for tail in rec(idx + 1):
-                    yield head + tail
-
-        yield from rec(0)
-
-    def recurse(k, fixed, table):
-        if deadline is not None and time.monotonic() > deadline:
-            state["complete"] = False
-            return
+    def layer(k, fixed, table):
         if k > n - k:
             part = Partition.from_blocks(g, fixed)
             if not verify_strongly_regular(part).ok:
                 raise VerificationFailure("search produced a non-strongly-regular partition")
             results.append(part)
             return
-        for blocks_k in layer_partitions(k, table):
-            if deadline is not None and time.monotonic() > deadline:
-                state["complete"] = False
-                return
-            comps = [[m ^ full for m in b] for b in blocks_k]
-            if k < n - k:
-                candidate = fixed + blocks_k + comps
-            elif set(map(frozenset, comps)) == set(map(frozenset, blocks_k)):
-                candidate = fixed + blocks_k
-            else:
-                continue
-            counts, _ = downward_counts(candidate, n)
-            if all(counts[m] == counts[b[0]] for b in candidate for m in b):
-                recurse(k + 1, candidate, counts)
+        classes = {}
+        for m in levels[k]:
+            classes.setdefault((table[m], table[m ^ full]), []).append(m)
+        order = [m for members in sorted(classes.values()) for m in members]
+        class_of = {m: members for members in classes.values() for m in members}
+        upper = [b for b in fixed if b[0].bit_count() > n - k]
 
-    recurse(0, [], downward_counts([], n)[0])
+        def place(placed, unplaced):
+            if not unplaced:
+                candidate = fixed + placed
+                counts, _ = downward_counts(candidate, n)
+                if not all(counts[m] == counts[b[0]] for b in candidate for m in b):
+                    raise VerificationFailure("search placed blocks that break axiom 3")
+                layer(k + 1, candidate, counts)
+                return
+            head = next(m for m in order if m in unplaced)
+            rest = [m for m in class_of[head] if m != head and m in unplaced]
+            for members in blocks_from(head, rest):
+                if deadline is not None and time.monotonic() > deadline:
+                    raise BudgetExceeded("strongly regular search")
+                comp = [m ^ full for m in members]
+                new = [members] if comp[0] in members else [members, comp]
+                if all(fits(ys, upper) for ys in new):
+                    place(placed + new, unplaced.difference(members, comp))
+
+        def blocks_from(head, rest):
+            """Every block of head and a subset of rest.  In the middle layer
+            the unplaced sets are closed under complement, and only blocks
+            that are their own complement or disjoint from it are made."""
+            if 2 * k < n:
+                shapes = [([head], [((), (m,)) for m in rest])]
+            else:
+                h = head ^ full
+                # disjoint from its complement: at most one of each pair m, m^full
+                shapes = [([head], [((), (m,), (m ^ full,)) if m ^ full in rest else ((), (m,))
+                                    for m in rest
+                                    if m != h and (m < m ^ full or m ^ full not in rest)])]
+                if h in rest:   # its own complement: whole pairs only
+                    shapes.append(([head, h], [((), (m, m ^ full)) for m in rest
+                                               if m < m ^ full and m ^ full in rest]))
+            for start, groups in shapes:
+                for picks in product(*groups):
+                    yield start + [*chain.from_iterable(picks)]
+
+        place([], set(levels[k]))
+
+    try:
+        layer(0, [], downward_counts([], n)[0])
+        complete = True
+    except BudgetExceeded:
+        complete = False
     results.sort(key=lambda p: (len(p.blocks), p.blocks))
-    return results, state["complete"]
+    return results, complete
 
 
 COUNTEREXAMPLE_GENERATORS = ("(1,2)(3,4)", "(5,6)(7,8)",

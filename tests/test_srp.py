@@ -1,12 +1,15 @@
+import random
+
 import pytest
 
+from conftest import random_group
 from goa import GroundSet, Partition
 from goa.errors import InputError, VerificationFailure
 from goa.partition import verify_goa_closure, verify_strongly_regular
 from goa.perms import close_generators, orbit_partition, parse_permutation
 from goa.srp import (build_counterexample, enumerate_strongly_regular,
                      is_orbit_partition)
-from goa.subsets import downward_counts, mask_of, popcount
+from goa.subsets import downward_counts, enumerate_by_size, mask_of, popcount
 
 
 def test_example_partition_is_realizable(example_partition):
@@ -84,6 +87,119 @@ def test_enumeration_matches_brute_force(n, bell):
     assert set(parts) == brute
 
 
+def set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for sub in set_partitions(rest):
+        for i in range(len(sub)):
+            yield sub[:i] + [[first] + sub[i]] + sub[i + 1:]
+        yield [[first]] + sub
+
+
+def whole_layer_enumeration(g):
+    """The search one whole layer at a time: every set partition of each
+    class of the size-k layer, its complements added below the middle (the
+    middle layer kept only when complement-closed), one downward_counts
+    table per candidate, axiom 3 read off the table."""
+    n, full = g.n, g.full_mask
+    results = []
+
+    def layer_partitions(k, table):
+        classes = {}
+        for m in enumerate_by_size(g, k):
+            classes.setdefault((table[m], table[m ^ full]), []).append(m)
+        class_lists = sorted(classes.values())
+
+        def rec(idx):
+            if idx == len(class_lists):
+                yield []
+                return
+            for head in set_partitions(class_lists[idx]):
+                for tail in rec(idx + 1):
+                    yield head + tail
+
+        yield from rec(0)
+
+    def recurse(k, fixed, table):
+        if k > n - k:
+            results.append(Partition.from_blocks(g, fixed))
+            return
+        for blocks_k in layer_partitions(k, table):
+            comps = [[m ^ full for m in b] for b in blocks_k]
+            if k < n - k:
+                candidate = fixed + blocks_k + comps
+            elif set(map(frozenset, comps)) == set(map(frozenset, blocks_k)):
+                candidate = fixed + blocks_k
+            else:
+                continue
+            counts, _ = downward_counts(candidate, n)
+            if all(counts[m] == counts[b[0]] for b in candidate for m in b):
+                recurse(k + 1, candidate, counts)
+
+    recurse(0, [], downward_counts([], n)[0])
+    results.sort(key=lambda p: (len(p.blocks), p.blocks))
+    return results
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_enumeration_matches_whole_layer_search(n):
+    parts, complete = enumerate_strongly_regular(GroundSet(n))
+    assert complete
+    assert parts == whole_layer_enumeration(GroundSet(n))
+
+
+def test_enumeration_at_six_holds_random_orbit_partitions():
+    # completeness spot check: the orbit partition of any group is
+    # strongly regular, so it must be in the list
+    # (the count 955 is this run's finding, pinned as a regression value)
+    g = GroundSet(6)
+    parts, complete = enumerate_strongly_regular(g)
+    assert complete
+    assert len(parts) == len(set(parts)) == 955
+    rng = random.Random(6)
+    found = set(parts)
+    for _ in range(8):
+        assert orbit_partition(random_group(rng, 6)) in found
+    singletons = [[m] for m in g.masks()]
+    assert Partition.from_blocks(g, singletons) in found
+
+
+def test_enumeration_builds_one_table_per_full_layer(monkeypatch):
+    # axiom 3 is checked as each block is placed, so every table the search
+    # builds is of a full layer that passes it: 147 at n = 5, against the
+    # 143 635 candidates the whole-layer search tables
+    from goa import srp
+    tables = []
+
+    def recording(blocks, n):
+        table, code = downward_counts(blocks, n)
+        tables.append(all(table[m] == table[b[0]] for b in blocks for m in b))
+        return table, code
+
+    monkeypatch.setattr(srp, "downward_counts", recording)
+    assert len(enumerate_strongly_regular(GroundSet(5))[0]) == 93
+    assert len(tables) == 147 and all(tables)
+
+
+def test_enumeration_layer_cross_check_raises(monkeypatch):
+    # a full layer whose table breaks axiom 3 is a search fault, not a verdict
+    from goa import srp
+
+    def skewed(blocks, n):
+        table, code = downward_counts(blocks, n)
+        for b in blocks:
+            if len(b) > 1:
+                table[b[-1]] += 1
+                break
+        return table, code
+
+    monkeypatch.setattr(srp, "downward_counts", skewed)
+    with pytest.raises(VerificationFailure):
+        enumerate_strongly_regular(GroundSet(2))
+
+
 def test_enumeration_tables_only_complement_closed_middle_layers(monkeypatch):
     # axiom 2 on the middle layer (even n) is tested before any table is
     # built: a middle block's complement is a block of the same candidate
@@ -110,9 +226,9 @@ def test_enumeration_contains_example(example_partition):
 
 
 def test_enumeration_best_effort_at_five():
-    # one level past the required range: grouping each layer by its
-    # downward-count words finishes n=5 in seconds, and every partition
-    # found is still realized by a group
+    # one level past the required range: placing one block at a time and
+    # pruning on axiom 3 finishes n=5 in a fraction of a second, and every
+    # partition found is still realized by a group
     # (the count 93 is this run's finding, pinned as a regression value)
     parts, complete = enumerate_strongly_regular(GroundSet(5), budget_seconds=240)
     assert complete
@@ -121,13 +237,13 @@ def test_enumeration_best_effort_at_five():
 
 
 def test_enumeration_budget_exhaustion_flag():
-    parts, complete = enumerate_strongly_regular(GroundSet(5), budget_seconds=0.02)
+    parts, complete = enumerate_strongly_regular(GroundSet(6), budget_seconds=0.02)
     assert not complete
 
 
 def test_enumeration_rejects_large():
     with pytest.raises(InputError):
-        enumerate_strongly_regular(GroundSet(6))
+        enumerate_strongly_regular(GroundSet(7))
 
 
 def test_counterexample_headline():
