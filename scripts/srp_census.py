@@ -4,9 +4,12 @@ every one of them is realized by a permutation group.
 
 Counts are findings of the run, not asserted constants.  n = 5 and 6 are
 each run under a time budget and reported as partial if it runs out.
+Exit status: 0 if every n completed with every partition realized, 1 if
+some partition is realized by no group, 3 if some n ran out of budget.
 """
 
 import argparse
+import sys
 import time
 
 from goa import GroundSet
@@ -23,6 +26,7 @@ def main():
     if not args.budget > 0:
         ap.error(f"--budget must be a positive number of seconds, got {args.budget}")
 
+    status_code = 0
     for n in range(1, args.max_n + 1):
         start = time.monotonic()
         parts, complete = enumerate_strongly_regular(
@@ -32,7 +36,12 @@ def main():
         print(f"n={n}: {len(parts)} strongly regular partitions, "
               f"{realizable} orbit-realizable{status} "
               f"[{time.monotonic() - start:.1f}s]")
+        if realizable < len(parts):
+            status_code = 1
+        elif not complete and status_code == 0:
+            status_code = 3
+    return status_code
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

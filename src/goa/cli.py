@@ -13,8 +13,7 @@ import sys
 from pathlib import Path
 
 from goa.digraphs import graph_kelly_check, hypomorphy_search
-from goa.errors import (BudgetExceeded, InputError, VerificationFailure, budget_deadline,
-                        check_budget)
+from goa.errors import BudgetExceeded, InputError, VerificationFailure, budget_deadline
 from goa.identities import DEFAULT_SEED, identity_suite
 from goa.incidence import bilinear_dimension_comparison
 from goa.partition import (format_partition, mnukhin_check, parse_partition_text,
@@ -74,9 +73,8 @@ def cmd_coeff(args):
 
 
 def cmd_is_orbit_algebra(args):
-    budget = check_budget(args.budget)
     p = _load_partition(args.partition)
-    flag, witness = is_orbit_partition(p, budget)
+    flag, witness = is_orbit_partition(p)
     print(f"is-orbit-partition: {flag}")
     print(f"stabilizer-order: {witness.order}")
     return 0 if flag else 1
@@ -108,9 +106,8 @@ def cmd_orbits(args):
 
 
 def cmd_stabilizer(args):
-    budget = check_budget(args.budget)
     p = _load_partition(args.partition)
-    h = partition_stabilizer(p, budget)
+    h = partition_stabilizer(p)
     print(f"order: {h.order}")
     for sigma in h.elements:
         print(format_permutation(sigma))
@@ -244,8 +241,6 @@ def build_parser():
     p = sub.add_parser("is-orbit-algebra",
                        help="decide whether some permutation group realizes the partition")
     p.add_argument("--partition", required=True)
-    p.add_argument("--budget", type=_SECONDS, default=None,
-                   help="time budget in seconds for the stabilizer search")
     p.set_defaults(fn=cmd_is_orbit_algebra)
 
     p = sub.add_parser("enumerate-srp", help="list all strongly regular partitions")
@@ -263,8 +258,6 @@ def build_parser():
 
     p = sub.add_parser("stabilizer", help="setwise stabilizer of a partition")
     p.add_argument("--partition", required=True)
-    p.add_argument("--budget", type=_SECONDS, default=None,
-                   help="time budget in seconds for the stabilizer search")
     p.set_defaults(fn=cmd_stabilizer)
 
     p = sub.add_parser("identities", help="run the exact operator identity suite")

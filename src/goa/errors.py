@@ -20,16 +20,11 @@ class BudgetExceeded(RuntimeError):
     """A search or closure exceeded its configured resource budget."""
 
 
-def check_budget(seconds):
-    """seconds, once checked to be None (no budget) or a positive number."""
-    if seconds is not None and not seconds > 0:
-        raise InputError(f"budget must be a positive number of seconds, got {seconds}")
-    return seconds
-
-
 def budget_deadline(seconds):
     """The time.monotonic() reading at which a budget of `seconds` runs
     out, or None for no budget.  A budget must be a positive number."""
-    if check_budget(seconds) is None:
+    if seconds is None:
         return None
+    if not seconds > 0:
+        raise InputError(f"budget must be a positive number of seconds, got {seconds}")
     return time.monotonic() + seconds

@@ -4,10 +4,9 @@ the powerset, and setwise stabilizers of powerset partitions.
 """
 
 import re
-import time
 from dataclasses import dataclass, field
 
-from goa.errors import BudgetExceeded, InputError, budget_deadline
+from goa.errors import BudgetExceeded, InputError
 from goa.partition import Partition
 from goa.subsets import GroundSet, parse_header
 
@@ -200,18 +199,15 @@ def orbit_partition(group: PermGroup) -> Partition:
     return Partition.from_blocks(g, list(orbits.values()))
 
 
-def partition_stabilizer(p: Partition, budget_seconds=None) -> PermGroup:
+def partition_stabilizer(p: Partition) -> PermGroup:
     """Every permutation that maps each block of p into itself setwise.
 
     Backtracking over point images; a partial assignment of 1..t is kept
     only if every subset of the assigned points lands in its own block.
-    A budget, when given, must be a positive number of seconds; past it
-    the search raises BudgetExceeded.
     """
     g = p.g
     if g.n > 8:
         raise InputError("partition stabilizer search requires n <= 8")
-    deadline = budget_deadline(budget_seconds)
     n = g.n
     block_of = p.block_of
     images = [0] * n
@@ -220,9 +216,6 @@ def partition_stabilizer(p: Partition, budget_seconds=None) -> PermGroup:
     found = []
 
     def extend(t):
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded(f"stabilizer search found {len(found)} elements "
-                                 f"before its {budget_seconds} s budget ran out")
         if t == n:
             found.append(tuple(images))
             return

@@ -15,8 +15,8 @@ from goa.perms import (close_generators, orbit_partition, parse_permutation,
 from goa.subsets import GroundSet, downward_counts, enumerate_by_size, format_subset, mask_of
 
 
-def is_orbit_partition(p: Partition, budget_seconds=None):
-    """(flag, witness group); budget_seconds bounds the stabilizer search.
+def is_orbit_partition(p: Partition):
+    """(flag, witness group).
 
     A partition is the orbit partition of some group iff it equals the
     orbit partition of its own setwise stabilizer H: any realizing group
@@ -24,7 +24,7 @@ def is_orbit_partition(p: Partition, budget_seconds=None):
     so orbits(H) refines p.  Equality is therefore exact realizability,
     and H is the witness.
     """
-    h = partition_stabilizer(p, budget_seconds)
+    h = partition_stabilizer(p)
     return orbit_partition(h) == p, h
 
 
@@ -61,7 +61,7 @@ def enumerate_strongly_regular(g: GroundSet, budget_seconds=None):
     cross-checks axiom 3 on the whole layer (VerificationFailure if it
     fails), and each partition found is cross-checked by
     verify_strongly_regular.  Supports n <= 6: n = 5 completes in about
-    0.1 s with 93 partitions and n = 6 in about 2-3 s with 955, both
+    0.1 s with 93 partitions and n = 6 in about 5 s with 955, both
     under a default 300 s budget.  A budget, when given, must be a
     positive number of seconds.
     """
@@ -73,16 +73,7 @@ def enumerate_strongly_regular(g: GroundSet, budget_seconds=None):
     deadline = budget_deadline(budget_seconds)
     levels = [enumerate_by_size(g, k) for k in range(n + 1)]
     full = g.full_mask
-    below = [1]     # below[x] has bit s set iff s is a subset of x
-    for i in range(n):
-        below += [d | d << (1 << i) for d in below]
     results = []
-
-    def fits(ys, xs_blocks):
-        """Whether, for each block X in xs_blocks, every member of X holds
-        the same number of members of ys."""
-        ybits = sum(1 << y for y in ys)
-        return all(len({(below[x] & ybits).bit_count() for x in xs}) == 1 for xs in xs_blocks)
 
     def layer(k, fixed, table):
         if k > n - k:
@@ -113,7 +104,8 @@ def enumerate_strongly_regular(g: GroundSet, budget_seconds=None):
                     raise BudgetExceeded("strongly regular search")
                 comp = [m ^ full for m in members]
                 new = [members] if comp[0] in members else [members, comp]
-                if all(fits(ys, upper) for ys in new):
+                words, _ = downward_counts(new, n)
+                if all(len({words[x] for x in xs}) == 1 for xs in upper):
                     place(placed + new, unplaced.difference(members, comp))
 
         def blocks_from(head, rest):

@@ -275,27 +275,6 @@ def test_verify_closure_budget_exits_3_and_a_nonpositive_one_exits_2(tmp_path, c
     assert "--closure" in err
 
 
-@pytest.mark.parametrize("command", ["stabilizer", "is-orbit-algebra"])
-def test_stabilizer_budget_exits_3_and_a_nonpositive_one_exits_2(tmp_path, capsys, command):
-    g = GroundSet(8)    # the size levels: the search lists all 40 320 elements of S8
-    f = tmp_path / "p.txt"
-    f.write_text(format_partition(Partition.from_blocks(
-        g, [[m for m in g.masks() if m.bit_count() == k] for k in range(9)])) + "\n")
-    code, out, err = run(capsys, command, "--partition", str(f), "--budget", "0.001")
-    assert (code, out) == (3, "")
-    assert err.startswith("budget exceeded: stabilizer search found ")
-    for budget in ("0", "-1"):
-        # checked before the partition file is read
-        code, out, err = run(capsys, command, "--partition", str(tmp_path / "none.txt"),
-                             "--budget", budget)
-        assert (code, out) == (2, "")
-        assert "budget must be a positive number" in err
-    f.write_text(EXAMPLE)
-    plain = run(capsys, command, "--partition", str(f))
-    assert plain[0] == 0
-    assert run(capsys, command, "--partition", str(f), "--budget", "30") == plain
-
-
 def test_negative_seed_and_decimal_budget_stay_valid(capsys):
     assert run(capsys, "--seed", "-5", "identities", "--n", "1")[0] == 0
     assert run(capsys, "enumerate-srp", "--n", "1", "--budget", "30.5")[0] == 0

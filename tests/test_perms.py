@@ -165,20 +165,6 @@ def test_stabilizer_orbits_refine_input():
         assert orbit_partition(h).refines(part)
 
 
-def test_stabilizer_budget():
-    g = GroundSet(8)
-    levels = Partition.from_blocks(g, [[m for m in g.masks() if popcount(m) == k]
-                                       for k in range(9)])
-    with pytest.raises(BudgetExceeded):
-        partition_stabilizer(levels, budget_seconds=0.001)
-    for budget in (0, -1.0):
-        with pytest.raises(InputError):
-            partition_stabilizer(levels, budget_seconds=budget)
-    g3 = GroundSet(3)
-    p = Partition.from_blocks(g3, [[m] for m in g3.masks()])
-    assert partition_stabilizer(p, budget_seconds=30) == partition_stabilizer(p)
-
-
 def test_group_file_round_trip():
     text = "n 6\n# comment\n(1,2)(3,4)\n(1,2)(5,6)\n"
     grp = parse_group_text(text)

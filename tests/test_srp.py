@@ -164,23 +164,27 @@ def test_enumeration_at_six_holds_random_orbit_partitions():
         assert orbit_partition(random_group(rng, 6)) in found
     singletons = [[m] for m in g.masks()]
     assert Partition.from_blocks(g, singletons) in found
+    # no non-orbit strongly regular partition exists at n = 6
+    assert all(is_orbit_partition(p)[0] for p in parts)
 
 
 def test_enumeration_builds_one_table_per_full_layer(monkeypatch):
-    # axiom 3 is checked as each block is placed, so every table the search
-    # builds is of a full layer that passes it: 147 at n = 5, against the
-    # 143 635 candidates the whole-layer search tables
+    # axiom 3 is checked as each block is placed, on a table of the one or
+    # two new blocks; every table of more blocks is of a full layer past
+    # layer 0 and passes it: 145 at n = 5, against the 143 635 candidates
+    # the whole-layer search tables
     from goa import srp
-    tables = []
+    layers = []
 
     def recording(blocks, n):
         table, code = downward_counts(blocks, n)
-        tables.append(all(table[m] == table[b[0]] for b in blocks for m in b))
+        if len(blocks) > 2:
+            layers.append(all(table[m] == table[b[0]] for b in blocks for m in b))
         return table, code
 
     monkeypatch.setattr(srp, "downward_counts", recording)
     assert len(enumerate_strongly_regular(GroundSet(5))[0]) == 93
-    assert len(tables) == 147 and all(tables)
+    assert len(layers) == 145 and all(layers)
 
 
 def test_enumeration_layer_cross_check_raises(monkeypatch):
