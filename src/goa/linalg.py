@@ -1,9 +1,11 @@
 """Small exact linear algebra helpers over the rationals.
 
 Matrices are lists of row lists holding ints or Fractions.  The
-solvers share one Gauss-Jordan routine, `_rref`, which reduces a
-matrix (with optional augmented columns) to reduced row echelon form;
-sizes in this package stay tiny.
+solvers (solve_exact, mat_inverse, solve_least_norm) share one
+Gauss-Jordan routine, `_rref`, which reduces a matrix (with optional
+augmented columns) to reduced row echelon form over Fractions.  rank
+takes integer matrices only and stays in integers, by fraction-free
+(Bareiss) elimination.  Sizes in this package stay small.
 """
 
 from fractions import Fraction
@@ -100,7 +102,33 @@ def mat_inverse(a):
 
 
 def rank(a):
-    return len(_rref(a, [()] * len(a))[1])
+    """Rank of an integer matrix, by fraction-free (Bareiss) elimination.
+
+    After each pivot step, every entry below the pivot rows is a minor of
+    a (pivot rows and columns plus its own row and column), so dividing
+    by the previous pivot is exact and the entries stay integers.
+    """
+    m = list(a)   # rows are replaced, never changed in place
+    if not all(type(x) is int for row in m for x in row):
+        raise InputError("rank expects a matrix of ints")
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    rk, prev = 0, 1
+    for col in range(cols):
+        if rk == rows:
+            break
+        piv = next((r for r in range(rk, rows) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rk], m[piv] = m[piv], m[rk]
+        top = m[rk]
+        p = top[col]
+        for r in range(rk + 1, rows):
+            f = m[r][col]
+            m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], top)]
+        prev = p
+        rk += 1
+    return rk
 
 
 def solve_least_norm(a, b):

@@ -4,6 +4,9 @@ change of basis, and the intersection-stratified operator family E[k,l,r]
 that spans the Terwilliger algebra of the hypercube.
 
 All operators act on P-basis polynomials and return P-basis polynomials.
+Each commutes with S_n permuting the points, sigma . p_A = p_{sigma A}:
+op(sigma . v) = sigma . op(v).  goa.identities relies on this to check
+each identity between them once per S_n orbit.
 """
 
 from dataclasses import dataclass
@@ -22,7 +25,9 @@ def _require_p_basis(p: Poly):
 
 
 def derivation(p: Poly) -> Poly:
-    """p_A  ->  sum of p_{A minus i} over the elements i of A.  Nilpotent of order n+1."""
+    """p_A  ->  sum of p_{A minus i} over the elements i of A.  Nilpotent of
+    order n+1, and S_n-equivariant: sigma A minus sigma i runs over the
+    images of the A minus i."""
     _require_p_basis(p)
     out = [0] * p.g.size
     for a, c in enumerate(p.coeffs):
@@ -38,7 +43,8 @@ def derivation(p: Poly) -> Poly:
 
 def complementation(p: Poly) -> Poly:
     """p_A -> p_{complement of A}; an involution.  The complement of a
-    mask is full - mask, so this reverses the coefficient vector."""
+    mask is full - mask, so this reverses the coefficient vector.
+    S_n-equivariant: the complement of sigma A is sigma of the complement."""
     _require_p_basis(p)
     return Poly(p.g, P, p.coeffs[::-1])
 
@@ -52,7 +58,8 @@ def ell_power(m: int, p: Poly) -> Poly:
     B.  Reversing the vector (complementation) turns superset sums into
     subset sums, so this is subset_sum with w = m between two reversals.
     The series form is kept as a tested identity (see ell_power_series).
-    m must be a nonzero integer.
+    m must be a nonzero integer.  S_n-equivariant: the subsets of sigma A
+    are the images of the subsets of A, with the same sizes.
     """
     if m == 0:
         raise InputError("ell_power requires a nonzero integer power")
@@ -84,11 +91,14 @@ def ell_power_series(m: int, p: Poly) -> Poly:
 
 def epsilon_map(p: Poly) -> Poly:
     """complementation . ell^{-1} . complementation: sends p_A to the
-    idempotent indicator of A, expressed in the P basis."""
+    idempotent indicator of A, expressed in the P basis.  S_n-equivariant,
+    as a composite of equivariant maps."""
     return complementation(ell_power(-1, complementation(p)))
 
 
 def epsilon_inverse(p: Poly) -> Poly:
+    """complementation . ell . complementation, the inverse of epsilon_map;
+    S_n-equivariant, as a composite of equivariant maps."""
     return complementation(ell_power(1, complementation(p)))
 
 
@@ -118,6 +128,7 @@ class LinearOperator:
 def e_klr(g: GroundSet, k: int, l: int, r: int) -> LinearOperator:
     """The operator sending a size-k set indicator p_A to the sum of p_B
     over size-l sets B meeting A in exactly r points; kills other levels.
+    S_n-equivariant: |sigma A & sigma B| = |A & B|, and sigma keeps sizes.
 
     Triples violating r <= k, r <= l, k+l-r <= n are accepted and yield
     the zero operator, flagged admissible=False.

@@ -106,6 +106,8 @@ class Poly:
 
         P basis: bilinear extension of p_A * p_B = p_{A union B}.
         EPS basis: coefficient-wise, since the eps_A are orthogonal idempotents.
+        S_n-equivariant in each basis: with sigma . p_A = p_{sigma A},
+        sigma(x * y) = (sigma x) * (sigma y), as sigma(A | B) = sigma A | sigma B.
         """
         self._check_compatible(other)
         if self.basis == EPS:

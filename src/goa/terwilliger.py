@@ -16,10 +16,13 @@ GenerationReport.notes:
   E[k-1,k,t] . d          = (k-t) E[k,k,t] + (t+1) E[k,k,t+1]
   sum_t w_t E[k-1,k,t] . d = id_k   for k > n/2,
                              w_t = (-1)^(k-1-t) (k-1-t)! t! / k!
+
+The alternating identity is checked times k!, so that its weights are
+integers too, and the rank checks run in integer elimination
+(goa.linalg.rank): the whole check stays in ints.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb, factorial
 
 from goa.errors import InputError
@@ -208,16 +211,16 @@ def verify_terwilliger_generation(g: GroundSet) -> GenerationReport:
             derivcomp_scalars_seen.add((k - t, t + 1))
             record(k, k, t + 1, nxt, "derivation recursion")
 
-        # alternating identity for id_k when k > n/2 (factorially weighted)
+        # alternating identity for id_k when k > n/2 (factorially weighted),
+        # times k!: sum_t k! w_t E[k-1,k,t] . d = k! id_k
         if 2 * k > n:
             s = len(levels[k])
-            acc = [[Fraction(0)] * s for _ in range(s)]
+            acc = [[0] * s for _ in range(s)]
             for t in range(k):
-                w = Fraction((-1) ** (k - 1 - t) * factorial(k - 1 - t) * factorial(t),
-                             factorial(k))
+                w = (-1) ** (k - 1 - t) * factorial(k - 1 - t) * factorial(t)
                 term = mat_mul(built[(k - 1, k, t)], d_k)
                 acc = [[a + w * x for a, x in zip(ra, rt)] for ra, rt in zip(acc, term)]
-            ok = mat_eq(acc, ref(k, k, k))
+            ok = mat_eq(acc, mat_scale(ref(k, k, k), factorial(k)))
             rep.add(f"weighted alternating sum = id_{k} (k > n/2)", ok)
 
         # triangular systems for every pair (u,v) with min(u,v) = k

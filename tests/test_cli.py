@@ -1,5 +1,6 @@
 import contextlib
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -278,6 +279,70 @@ def test_verify_closure_budget_exits_3_and_a_nonpositive_one_exits_2(tmp_path, c
 def test_negative_seed_and_decimal_budget_stay_valid(capsys):
     assert run(capsys, "--seed", "-5", "identities", "--n", "1")[0] == 0
     assert run(capsys, "enumerate-srp", "--n", "1", "--budget", "30.5")[0] == 0
+
+
+INT_TEXT = r"-?[0-9]+"
+SECONDS_TEXT = r"-?([0-9]+\.?[0-9]*|\.[0-9]+)"
+STRAY = "-+._ e\u0663\uff13"   # with an Arabic-Indic and a fullwidth 3
+
+# a decimal with one stray character put in: '1_0', '+3', '3 ', '1\u0663'
+NEAR_MISSES = st.builds(lambda digits, i, ch: digits[:i] + ch + digits[i:],
+                        st.integers(0, 99).map(str), st.integers(0, 2), st.sampled_from(STRAY))
+
+
+def written(value):
+    """value as ASCII decimal text, sometimes with leading zeros."""
+    return st.integers(0, 2).map(
+        lambda z: ("-" if value < 0 else "") + "0" * z + str(abs(value)))
+
+
+def out_of(low, high):
+    """Integers outside low..high, as ASCII decimal text (high None: no top)."""
+    outside = st.integers(max_value=low - 1, min_value=-10 ** 12)
+    if high is not None:
+        outside = st.one_of(outside, st.integers(min_value=high + 1, max_value=10 ** 12))
+    return outside.flatmap(written)
+
+
+NONPOSITIVE_SECONDS = st.one_of(
+    st.sampled_from(["0", "0.", ".0", "00.000", "-0"]),
+    st.builds("-{}.{}".format, st.integers(0, 10 ** 6), st.integers(0, 999)))
+
+# argv with None where the value goes, the text grammar of the flag, and
+# the values out of range (None: every decimal text is accepted).  Values
+# in range are never drawn, so no draw starts a long run.
+NUMBER_FLAGS = [
+    (("identities", "--n", None), INT_TEXT, out_of(1, 8)),
+    (("enumerate-srp", "--n", None), INT_TEXT, out_of(1, 6)),
+    (("dimensions", "--n", None), INT_TEXT, out_of(1, None)),
+    (("muller-tight", "--r", None), INT_TEXT, out_of(2, 8)),
+    (("muller-tight", "--r", "3", "--pad", None), INT_TEXT, out_of(0, 10)),
+    (("enumerate-srp", "--n", "2", "--budget", None), SECONDS_TEXT, NONPOSITIVE_SECONDS),
+    (("digraph-demo", "--vertices", None), INT_TEXT, out_of(3, 4)),
+    (("--seed", None, "identities", "--n", "1"), INT_TEXT, None),
+]
+
+
+def exit_code_and_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse rejects the text itself
+            code = exc.code
+    return code, out.getvalue()
+
+
+@given(st.sampled_from(NUMBER_FLAGS), st.data())
+@settings(max_examples=200, deadline=None)
+def test_number_flags_refuse_non_decimal_text_and_out_of_range_values(flag, data):
+    argv, grammar, out_of_range = flag
+    not_decimal = st.one_of(st.text(), NEAR_MISSES).filter(
+        lambda text: not re.fullmatch(grammar, text))
+    value = data.draw(not_decimal if out_of_range is None
+                      else st.one_of(not_decimal, out_of_range))
+    argv = [value if a is None else a for a in argv]
+    assert exit_code_and_stdout(argv) == (2, ""), argv
 
 
 class ClosedPipe(io.StringIO):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goa.errors import InputError
-from goa.linalg import (identity_matrix, mat_inverse, mat_mul, mat_pow, rank,
+from goa.linalg import (_rref, identity_matrix, mat_inverse, mat_mul, mat_pow, rank,
                         solve_exact, solve_least_norm)
 
 ENTRY = st.integers(min_value=-3, max_value=3)
@@ -101,3 +101,30 @@ def test_mat_pow_matches_repeated_products(a, e):
     for _ in range(e):
         expected = mat_mul(expected, a)
     assert mat_pow(a, e) == expected
+
+
+@st.composite
+def integer_matrices(draw):
+    """rows x cols ints, 0 <= rows, cols <= 6: random entries, all zeros,
+    or a product of rows x k and k x cols factors (rank at most k)."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["random", "zero", "low-rank"]))
+    if kind == "zero" or rows * cols == 0:
+        return [[0] * cols for _ in range(rows)]
+    wide = st.integers(min_value=-50, max_value=50)
+    if kind == "random":
+        return draw(st.lists(st.lists(wide, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+    k = draw(st.integers(1, min(rows, cols)))
+    return mat_mul(draw(matrices(rows, k)), draw(matrices(k, cols)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_integer_rank_matches_rational_elimination(a):
+    assert rank(a) == len(_rref(a, [()] * len(a))[1])
+
+
+def test_rank_refuses_fractions():
+    with pytest.raises(InputError, match="ints"):
+        rank([[Fraction(1, 2), 1]])

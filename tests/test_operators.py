@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goa.errors import InputError
 from goa.operators import (complementation, derivation, e_klr, ell_power,
                            ell_power_series, epsilon_inverse, epsilon_map,
                            vandermonde_coeffs)
+from goa.perms import action_table
 from goa.poly import EPS, P, Poly
 from goa.subsets import GroundSet, mask_of, popcount
 
@@ -163,3 +167,59 @@ def test_nilpotency_at_the_dense_bound():
         for _ in range(g.n + 1):
             cur = derivation(cur)
         assert cur.is_zero()
+
+
+# -- every operator of the identity suite commutes with S_n -----------------
+
+def rand_coeff(rng):
+    """0, an int or a Fraction, each a third of the time."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-9, 9)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+@st.composite
+def permuted_vectors(draw, count=1):
+    """(g, sigma, polys): n <= 7, a random permutation sigma of 1..n and
+    count random P-basis vectors of int and Fraction coefficients (drawn
+    from a seeded rng: 2^n Hypothesis draws per vector are slow)."""
+    g = GroundSet(draw(st.integers(min_value=1, max_value=7)))
+    sigma = tuple(draw(st.permutations(range(1, g.n + 1))))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32)))
+    polys = [Poly(g, P, [rand_coeff(rng) for _ in range(g.size)]) for _ in range(count)]
+    return g, sigma, polys
+
+
+def act(sigma, p):
+    """sigma . p: the coefficient of p_A moves to p_{sigma A}."""
+    table = action_table(sigma, p.g)
+    out = [0] * p.g.size
+    for a, c in enumerate(p.coeffs):
+        out[table[a]] = c
+    return Poly(p.g, p.basis, out)
+
+
+@pytest.mark.parametrize("name", ["derivation", "complementation", "ell_power",
+                                  "epsilon_map", "epsilon_inverse", "e_klr"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_operators_commute_with_permutations_of_the_points(name, data):
+    g, sigma, (p,) = data.draw(permuted_vectors())
+    if name == "ell_power":
+        op = partial(ell_power, data.draw(st.sampled_from([-2, -1, 1, 2, 3])))
+    elif name == "e_klr":
+        op = e_klr(g, *(data.draw(st.integers(0, g.n)) for _ in range(3)))
+    else:
+        op = {"derivation": derivation, "complementation": complementation,
+              "epsilon_map": epsilon_map, "epsilon_inverse": epsilon_inverse}[name]
+    assert op(act(sigma, p)) == act(sigma, op(p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(permuted_vectors(count=2))
+def test_p_basis_product_commutes_with_permutations_of_the_points(case):
+    _, sigma, (p, q) = case
+    assert act(sigma, p * q) == act(sigma, p) * act(sigma, q)
