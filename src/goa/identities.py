@@ -16,11 +16,16 @@ holds on every basis vector once it holds on one vector per size (here
 the last k points, see _run); the same argument for equivariant bilinear
 maps needs one pair (A, B) per orbit of pairs, i.e. per
 (|A - B|, |B - A|, |A & B|): C(n+3, 3) pairs instead of 4^n.  The
-transpose check compares two operators entry by entry, not as maps on a
-vector, so it stays on the full basis.  The reduction rests on the
-equivariance, which tests/test_operators.py checks under random
-permutations; tests/test_identities.py keeps the full-basis suite as
-the oracle of this one.
+constructive generation check (goa.terwilliger) runs the same way.  The
+transpose check stays on the full basis because it is the one check
+that does not assume equivariance: it compares two operators entry by
+entry, so it catches a fault in e_klr that breaks equivariance, which
+every per-orbit check can miss (tests/test_identities.py has such a
+mutant).  The reduction rests on the equivariance, which
+tests/test_operators.py checks under random permutations;
+tests/test_identities.py keeps the full-basis suite as the oracle of
+this one.  The suite accepts n <= 8 and refuses larger n before it
+runs any check.
 """
 
 import random
@@ -28,6 +33,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from operator import mul
 
+from goa.errors import InputError
 from goa.operators import (complementation, derivation, e_klr, ell_power,
                            ell_power_series, epsilon_inverse, epsilon_map,
                            vandermonde_coeffs)
@@ -50,6 +56,8 @@ def _run(start, count):
 
 def identity_suite(g: GroundSet, seed: int = DEFAULT_SEED):
     n = g.n
+    if n > 8:
+        raise InputError("identities suite supports n <= 8")
     rng = random.Random(seed)
     checks = []
 

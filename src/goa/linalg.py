@@ -19,24 +19,6 @@ def mat_mul(a, b):
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    return [[c * x for x in row] for row in a]
-
-
-def mat_eq(a, b):
-    return len(a) == len(b) and all(
-        len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
-def mat_is_zero(a):
-    return all(x == 0 for row in a for x in row)
-
-
 def identity_matrix(s):
     return [[1 if i == j else 0 for j in range(s)] for i in range(s)]
 

@@ -1,91 +1,52 @@
 """Constructive generation of the hypercube Terwilliger algebra from the
 derivation and complementation operators.
 
-Everything works on level-restricted integer matrices: an operator that
-maps the span of size-k indicators into the span of size-l indicators is
-a C(n,l) x C(n,k) matrix over the basis enumerate_by_size.  The full
-2^n x 2^n matrices are block assemblies of these and are never needed.
-
-The chains start from goa.operators.derivation and are compared
-entry-exactly against the reference operators goa.operators.e_klr; both
-are read as level blocks by applying them to basis vectors.  Two of the
-printed source identities hold only up to scalar factors; the exact
-factors used here are verified as part of the run and recorded in
-GenerationReport.notes:
+Each step is an identity between S_n-equivariant linear maps out of one
+level k: a chain of derivations d and complementations comp on one side,
+an integer combination of the operators E[k,l,r] (goa.operators.e_klr)
+on the other.  As argued in goa.identities, such an identity holds on
+every size-k basis vector once it holds on p_A for one k-set A, here the
+last k points.  The scalar factors are multiplied out, never divided, so
+every value is an int.  The chains start from goa.operators.derivation;
+the seed chain applies it to every set, so a derivation fault shows up
+even when it is not equivariant.  Two of the printed source identities
+hold only up to scalar factors; the exact factors used here are verified
+as part of the run and recorded in GenerationReport.notes:
 
   E[k-1,k,t] . d          = (k-t) E[k,k,t] + (t+1) E[k,k,t+1]
   sum_t w_t E[k-1,k,t] . d = id_k   for k > n/2,
                              w_t = (-1)^(k-1-t) (k-1-t)! t! / k!
 
-The alternating identity is checked times k!, so that its weights are
-integers too, and the rank checks run in integer elimination
-(goa.linalg.rank): the whole check stays in ints.
+The alternating identity is checked times k!.  The only matrices built
+are the level blocks of E[r,r+1,r] and E[r+1,r,r], whose ranks
+(goa.linalg.rank, integer elimination) give injectivity and
+surjectivity.
 """
 
 from dataclasses import dataclass, field
 from math import comb, factorial
 
 from goa.errors import InputError
-from goa.linalg import identity_matrix, mat_eq, mat_is_zero, mat_mul, mat_scale, mat_sub, rank
-from goa.operators import derivation, e_klr
+from goa.linalg import rank
+from goa.operators import complementation, derivation, e_klr
 from goa.poly import Poly
 from goa.subsets import GroundSet, enumerate_by_size
 
 
-def _level_block(op, g, levels, k, l):
-    """Matrix of op from level k to level l: column j is the image of the
-    j-th level-k basis vector, read at the level-l masks."""
-    cols = [op(Poly.term(g, a)).coeffs for a in levels[k]]
-    return [[col[b] for col in cols] for b in levels[l]]
+def _level_block(g, k, l, r):
+    """Matrix of E[k,l,r] from level k to level l: column j is the image of
+    the j-th level-k basis vector, read at the level-l masks."""
+    op = e_klr(g, k, l, r)
+    cols = [op(Poly.term(g, a)).coeffs for a in enumerate_by_size(g, k)]
+    return [[col[b] for col in cols] for b in enumerate_by_size(g, l)]
 
 
-def _comp_perm(levels, n, k):
-    """Row permutation: index in level n-k of the complement of each level-k mask."""
-    full = (1 << n) - 1
-    idx = {m: i for i, m in enumerate(levels[n - k])}
-    return [idx[a ^ full] for a in levels[k]]
-
-
-class _Chains:
-    """Cached level-restricted blocks of derivation powers and complementation."""
-
-    def __init__(self, g):
-        self.g = g
-        self.n = g.n
-        self.levels = [enumerate_by_size(g, k) for k in range(g.n + 1)]
-        self._dpow = {}
-        self._comp = {}
-
-    def dpow(self, j, k):
-        """Block of derivation^j at input level k, or None when it underflows."""
-        if j > k:
-            return None
-        key = (j, k)
-        if key not in self._dpow:
-            if j == 0:
-                self._dpow[key] = identity_matrix(len(self.levels[k]))
-            elif j == 1:
-                self._dpow[key] = _level_block(derivation, self.g, self.levels, k, k - 1)
-            else:
-                self._dpow[key] = mat_mul(self.dpow(j - 1, k - 1), self.dpow(1, k))
-        return self._dpow[key]
-
-    def comp_rows(self, k, m):
-        """Left-compose with complementation: permute rows from level k to level n-k."""
-        if k not in self._comp:
-            self._comp[k] = _comp_perm(self.levels, self.n, k)
-        perm = self._comp[k]
-        out = [None] * len(m)
-        for i, row in enumerate(m):
-            out[perm[i]] = row
-        return out
-
-    def bascom_block(self, u, v, r):
-        """Level-u block of  comp . d^(v-r) . comp . d^(u-r)."""
-        m = self.dpow(u - r, u)              # level u -> r
-        m = self.comp_rows(r, m)             # -> n-r
-        m = mat_mul(self.dpow(v - r, self.n - r), m)  # -> n-v
-        return self.comp_rows(self.n - v, m)  # -> v
+def _powers(p, count):
+    """[p, d p, ..., d^count p] for the derivation d."""
+    out = [p]
+    for _ in range(count):
+        out.append(derivation(out[-1]))
+    return out
 
 
 @dataclass
@@ -110,26 +71,12 @@ class GenerationReport:
         return None
 
 
-def _div_exact(m, d):
-    """Entrywise integer division; returns None if any entry is not divisible."""
-    out = []
-    for row in m:
-        r = []
-        for x in row:
-            q, rem = divmod(x, d)
-            if rem:
-                return None
-            r.append(q)
-        out.append(r)
-    return out
-
-
 def verify_terwilliger_generation(g: GroundSet) -> GenerationReport:
     """Rebuild every admissible E[k,l,r] from derivation and complementation
     chains and compare against the operators e_klr.
 
     Executes: the level-0 seed identities with constants n!(n-l)! and l!,
-    the disjointness sum d^(n-2k) . comp, the scalar-corrected derivation
+    the disjointness chain d^(n-2k) . comp, the scalar-corrected derivation
     recursion, the triangular systems of the four-step chains, the
     injectivity/surjectivity ranks, and the alternating identity for
     id_k above n/2.  The report carries one line per check.
@@ -137,126 +84,90 @@ def verify_terwilliger_generation(g: GroundSet) -> GenerationReport:
     n = g.n
     if n > 8:
         raise InputError("terwilliger generation verification requires n <= 8")
-    ch = _Chains(g)
-    levels = ch.levels
     rep = GenerationReport(n=n)
-    built = {}
-    ref_cache = {}
+    built = set()
+    terms = [Poly.term(g, ((1 << k) - 1) << (n - k)) for k in range(n + 1)]   # p_A, |A| = k
+    down = [_powers(p, k) for k, p in enumerate(terms)]       # down[u][j] = d^j p_A
+    up = {(u, r): _powers(complementation(down[u][u - r]), n - r)   # d^j comp d^(u-r) p_A
+          for u in range(n + 1) for r in range(u + 1)}
+    images = {}
 
-    def ref(k, l, r):
-        if (k, l, r) not in ref_cache:
-            ref_cache[(k, l, r)] = _level_block(e_klr(g, k, l, r), g, levels, k, l)
-        return ref_cache[(k, l, r)]
+    def holds(lhs, k, combo):
+        """lhs == sum of c E[k,l,r](p_A) over (c, l, r) in combo, |A| = k."""
+        rhs = Poly.zero(g)
+        for c, l, r in combo:
+            if (k, l, r) not in images:
+                images[(k, l, r)] = e_klr(g, k, l, r)(terms[k])
+            rhs = rhs + images[(k, l, r)].scale(c)
+        return lhs == rhs
 
-    def record(k, l, r, matrix, via):
-        ok = mat_eq(matrix, ref(k, l, r))
-        rep.add(f"E[{k},{l},{r}] via {via}", ok,
-                "" if ok else f"first failing triple ({k},{l},{r})")
-        built[(k, l, r)] = matrix
-        return ok
+    def record(k, l, r, ok, name):
+        rep.add(name, ok, "" if ok else f"first failing triple ({k},{l},{r})")
+        built.add((k, l, r))
 
     # Level-0 seeds: d^(n-l) . comp . d^n . comp  =  n!(n-l)! E[0,l,0]
+    seed = _powers(complementation(up[0, 0][n]), n)
     for l in range(n + 1):
-        m = ch.comp_rows(0, ch.dpow(0, 0))          # level 0 -> n
-        m = mat_mul(ch.dpow(n, n), m)               # -> 0
-        m = ch.comp_rows(0, m)                      # -> n
-        m = mat_mul(ch.dpow(n - l, n), m)           # -> l
-        scaled = _div_exact(m, factorial(n) * factorial(n - l))
-        if scaled is None:
-            rep.add(f"E[0,{l},0] via seed chain", False, "scalar n!(n-l)! not exact")
-            return rep
-        record(0, l, 0, scaled, "seed chain / n!(n-l)!")
+        record(0, l, 0, holds(seed[n - l], 0, [(factorial(n) * factorial(n - l), l, 0)]),
+               f"E[0,{l},0] via seed chain / n!(n-l)!")
 
-    # E[l,0,0] = (E[0,0,0] . d^l) / l!
+    # E[0,0,0] . d^l  =  l! E[l,0,0]
     for l in range(n + 1):
-        m = mat_mul(built[(0, 0, 0)], ch.dpow(l, l))
-        scaled = _div_exact(m, factorial(l))
-        if scaled is None:
-            rep.add(f"E[{l},0,0] via projected d^{l}", False, "scalar l! not exact")
-            return rep
-        record(l, 0, 0, scaled, "projected derivation power / l!")
+        record(l, 0, 0, holds(e_klr(g, 0, 0, 0)(down[l][l]), l, [(factorial(l), 0, 0)]),
+               f"E[{l},0,0] via projected derivation power / l!")
 
     derivcomp_scalars_seen = set()
     for k in range(1, n + 1):
-        # E[k,k,0]: extracted from d^(n-2k) . comp when 2k <= n, zero above
+        # d^(n-2k) . comp  =  (n-2k)! E[u,2k-u,0] at every level u <= 2k; E[k,k,0] = 0 above n/2
         if 2 * k <= n:
-            blk = mat_mul(ch.dpow(n - 2 * k, n - k), ch.comp_rows(k, ch.dpow(0, k)))
-            scaled = _div_exact(blk, factorial(n - 2 * k))
-            if scaled is None:
-                rep.add(f"E[{k},{k},0] via disjointness chain", False, "(n-2k)! not exact")
-                return rep
-            record(k, k, 0, scaled, "disjointness chain / (n-2k)!")
-            # the same chain at other input levels must match operators already built
-            for u in range(0, 2 * k + 1):
-                if u == k or (u, 2 * k - u, 0) not in built:
-                    continue
-                other = mat_mul(ch.dpow(n - 2 * k, n - u), ch.comp_rows(u, ch.dpow(0, u)))
-                ok = mat_eq(other, mat_scale(built[(u, 2 * k - u, 0)], factorial(n - 2 * k)))
-                rep.add(f"disjointness chain level {u} matches E[{u},{2 * k - u},0]", ok)
+            scalar = factorial(n - 2 * k)
+            record(k, k, 0, holds(up[k, k][n - 2 * k], k, [(scalar, k, 0)]),
+                   f"E[{k},{k},0] via disjointness chain / (n-2k)!")
+            for u in range(2 * k + 1):
+                if u != k:
+                    rep.add(f"disjointness chain level {u} matches E[{u},{2 * k - u},0]",
+                            holds(up[u, u][n - 2 * k], u, [(scalar, 2 * k - u, 0)]))
         else:
-            zero = [[0] * len(levels[k]) for _ in levels[k]]
-            ok = mat_is_zero(ref(k, k, 0))
-            rep.add(f"E[{k},{k},0] = 0 (k > n/2)", ok)
-            built[(k, k, 0)] = zero
+            rep.add(f"E[{k},{k},0] = 0 (k > n/2)", holds(Poly.zero(g), k, [(1, k, 0)]))
 
         # derivation recursion: E[k-1,k,t] . d = (k-t) E[k,k,t] + (t+1) E[k,k,t+1]
-        d_k = ch.dpow(1, k)
+        lifted = [e_klr(g, k - 1, k, t)(down[k][1]) for t in range(k)]
         for t in range(k):
-            lhs = mat_mul(built[(k - 1, k, t)], d_k)
-            nxt = _div_exact(mat_sub(lhs, mat_scale(built[(k, k, t)], k - t)), t + 1)
-            if nxt is None:
-                rep.add(f"E[{k},{k},{t + 1}] via derivation recursion", False,
-                        f"first failing triple ({k},{k},{t + 1}): scalars (k-t),(t+1) not exact")
-                return rep
             derivcomp_scalars_seen.add((k - t, t + 1))
-            record(k, k, t + 1, nxt, "derivation recursion")
+            record(k, k, t + 1, holds(lifted[t], k, [(k - t, k, t), (t + 1, k, t + 1)]),
+                   f"E[{k},{k},{t + 1}] via derivation recursion")
 
         # alternating identity for id_k when k > n/2 (factorially weighted),
         # times k!: sum_t k! w_t E[k-1,k,t] . d = k! id_k
         if 2 * k > n:
-            s = len(levels[k])
-            acc = [[0] * s for _ in range(s)]
+            acc = Poly.zero(g)
             for t in range(k):
                 w = (-1) ** (k - 1 - t) * factorial(k - 1 - t) * factorial(t)
-                term = mat_mul(built[(k - 1, k, t)], d_k)
-                acc = [[a + w * x for a, x in zip(ra, rt)] for ra, rt in zip(acc, term)]
-            ok = mat_eq(acc, mat_scale(ref(k, k, k), factorial(k)))
-            rep.add(f"weighted alternating sum = id_{k} (k > n/2)", ok)
+                acc = acc + lifted[t].scale(w)
+            rep.add(f"weighted alternating sum = id_{k} (k > n/2)",
+                    holds(acc, k, [(factorial(k), k, k)]))
 
-        # triangular systems for every pair (u,v) with min(u,v) = k
+        # triangular systems for every pair (u,v) with min(u,v) = k:
+        # comp . d^(v-r) . comp . d^(u-r) = (u-r)!(v-r)! sum_w C(w,r) E[u,v,w],
+        # the sum over admissible w >= r; for inadmissible r it has no E[u,v,r] term
         pairs = [(k, v) for v in range(k, n + 1)] + [(u, k) for u in range(k + 1, n + 1)]
         for u, v in pairs:
-            solved = {}
-            for r in range(min(u, v), -1, -1):
-                t_r = ch.bascom_block(u, v, r)
-                t_hat = _div_exact(t_r, factorial(u - r) * factorial(v - r))
-                if t_hat is None:
-                    rep.add(f"E[{u},{v},{r}] via triangular system", False,
-                            f"first failing triple ({u},{v},{r}): (u-r)!(v-r)! not exact")
-                    return rep
-                acc = t_hat
-                for w in range(r + 1, min(u, v) + 1):
-                    acc = mat_sub(acc, mat_scale(solved[w], comb(w, r)))
-                solved[r] = acc
-                if u + v - r <= n:
-                    record(u, v, r, acc, "triangular system")
-                else:
-                    ok = mat_is_zero(acc)
-                    rep.add(f"E[{u},{v},{r}] inadmissible, comes out zero", ok,
-                            "" if ok else f"first failing triple ({u},{v},{r})")
-                    built[(u, v, r)] = acc
+            for r in range(k, -1, -1):
+                scalar = factorial(u - r) * factorial(v - r)
+                ok = holds(complementation(up[u, r][v - r]), u,
+                           [(scalar * comb(w, r), v, w) for w in range(max(r, u + v - n), k + 1)])
+                kind = "via triangular system" if u + v - r <= n else "inadmissible, comes out zero"
+                record(u, v, r, ok, f"E[{u},{v},{r}] {kind}")
 
     rep.notes.append("derivation recursion holds with scalar factors "
                      + ", ".join(f"(k-t)={a},(t+1)={b}" for a, b in sorted(derivcomp_scalars_seen)[:3])
                      + ", ... ; the unscaled form fails the exact check")
 
     # dimension of the span: admissible triples reconstructed
-    admissible = [(k, l, r) for (k, l, r) in built
-                  if r <= k and r <= l and k + l - r <= n]
-    rep.dim_reconstructed = len(set(admissible))
+    rep.dim_reconstructed = sum(1 for (k, l, r) in built if r <= k and r <= l and k + l - r <= n)
 
     # injectivity / surjectivity
     for r in range((n + 1) // 2):   # r < n/2
-        rep.add(f"E[{r},{r + 1},{r}] injective", rank(ref(r, r + 1, r)) == comb(n, r))
-        rep.add(f"E[{r + 1},{r},{r}] surjective", rank(ref(r + 1, r, r)) == comb(n, r))
+        rep.add(f"E[{r},{r + 1},{r}] injective", rank(_level_block(g, r, r + 1, r)) == comb(n, r))
+        rep.add(f"E[{r + 1},{r},{r}] surjective", rank(_level_block(g, r + 1, r, r)) == comb(n, r))
     return rep

@@ -1,13 +1,16 @@
+import importlib.util
 import random
 import sys
 from fractions import Fraction
 from math import comb, factorial, lcm
 from operator import mul
+from pathlib import Path
 
 import pytest
 
 import goa.identities as identities
 import goa.operators as operators
+from goa.errors import InputError
 from goa.identities import DEFAULT_SEED, _random_poly, identity_suite
 from goa.operators import (LinearOperator, complementation, derivation, e_klr, ell_power,
                            ell_power_series, epsilon_inverse, epsilon_map,
@@ -234,3 +237,34 @@ def test_per_orbit_suite_matches_the_oracle_under_each_mutation(monkeypatch, nam
     got = identity_suite(g)
     assert got == full_basis_suite(g)
     assert not all(ok for _, ok, _ in got)
+
+
+def test_suite_refuses_n_past_8_before_any_check(monkeypatch):
+    monkeypatch.setattr(identities, "derivation", lambda p: pytest.fail("a check ran"))
+    with pytest.raises(InputError, match="n <= 8"):
+        identity_suite(GroundSet(9))
+
+
+def load_identity_sweep():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "identity_sweep.py"
+    spec = importlib.util.spec_from_file_location("identity_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_identity_sweep_exits_1_when_an_identity_fails(monkeypatch, capsys):
+    sweep = load_identity_sweep()
+    monkeypatch.setattr(sweep, "identity_suite",
+                        lambda g, seed: [("one identity", g.n <= 3, "")])
+    assert sweep.main(["--min-n", "2", "--max-n", "3"]) == 0
+    assert sweep.main(["--min-n", "2", "--max-n", "4"]) == 1
+    assert "n=4: 1 identities, FAILED: ['one identity']" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["--max-n", "9"], ["--min-n", "0"]])
+def test_identity_sweep_refuses_n_outside_1_to_8(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        load_identity_sweep().main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
