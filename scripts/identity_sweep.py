@@ -2,7 +2,8 @@
 """Run the exact operator-identity suite across a range of ground sets.
 
 Exit status: 0 if every identity holds for every n, 1 if some identity
-fails, 2 on bad arguments (the suite supports 1 <= n <= 8).
+fails, 2 on bad arguments (the suite supports 1 <= n <= 8, and an empty
+range, --min-n above --max-n, is refused rather than passed).
 """
 
 import argparse
@@ -20,6 +21,8 @@ def main(argv=None):
                     help="largest ground-set size; the suite supports n <= 8")
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
     args = ap.parse_args(argv)
+    if args.min_n > args.max_n:
+        ap.error(f"--min-n {args.min_n} is larger than --max-n {args.max_n}")
 
     status_code = 0
     for n in range(args.min_n, args.max_n + 1):

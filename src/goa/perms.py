@@ -1,12 +1,21 @@
 """Permutation groups on the ground set: cycle-notation parsing, closure
 from generators, the lifted action on subset masks, orbit partitions of
 the powerset, and setwise stabilizers of powerset partitions.
+
+The setwise stabilizer is found one coset at a time along the base
+1..n: for each base point, a backtrack over point images looks for one
+representative of each coset of the next point's stabilizer, and skips
+every image the strong generators found so far already reach.  The
+orbits with their transversals (a Schreier tree per base point) then
+give every element once, as a product of one transversal member per
+point.
 """
 
 import re
 from dataclasses import dataclass, field
+from itertools import pairwise
 
-from goa.errors import BudgetExceeded, InputError
+from goa.errors import BudgetExceeded, InputError, VerificationFailure
 from goa.partition import Partition
 from goa.subsets import GroundSet, parse_header
 
@@ -22,7 +31,7 @@ def identity_perm(n):
 
 def compose(a, b):
     """a after b: (a.b)(x) = a(b(x))."""
-    return tuple(a[x - 1] for x in b)
+    return tuple([a[x - 1] for x in b])
 
 
 def parse_permutation(text: str, g: GroundSet):
@@ -200,46 +209,96 @@ def orbit_partition(group: PermGroup) -> Partition:
 
 
 def partition_stabilizer(p: Partition) -> PermGroup:
-    """Every permutation that maps each block of p into itself setwise.
+    """Every permutation that maps each block of p into itself setwise,
+    sorted, as both the generators and the elements of the group.
 
-    Backtracking over point images; a partial assignment of 1..t is kept
-    only if every subset of the assigned points lands in its own block.
+    The search runs over the base 1..n, from the deepest point up.  For
+    base point b, G_b is the subgroup of the stabilizer that fixes
+    1..b-1.  For each image c of b not yet in the orbit of b under the
+    strong generators found so far (those of points b..n), one element
+    that fixes 1..b-1 and sends b to c is sought by backtracking over the
+    images of b+1..n; a partial assignment is kept only if every
+    subset of the assigned points lands in its own block.  The first
+    leaf found, if any, is a new strong generator, and the orbit grows
+    by Schreier's rule.  An image already in the orbit is skipped
+    unsearched: its coset of G_(b+1) has a representative.  The subtrees
+    searched are disjoint parts of the tree of all leaves, so the search
+    never visits more of it than listing every leaf would.  Each orbit
+    comes with a transversal (u_c maps b to c), G_b is the disjoint
+    union of the cosets u_c G_(b+1), and so every element is one product
+    u_1 u_2 ... u_n.  See Leon, J. Symbolic Comput. 12 (1991), and
+    Seress, Permutation Group Algorithms (2003).
     """
     g = p.g
     if g.n > 8:
         raise InputError("partition stabilizer search requires n <= 8")
     n = g.n
     block_of = p.block_of
-    images = [0] * n
-    image_mask = [0] * g.size  # image of each submask of the assigned prefix
+    identity = identity_perm(n)
+    images = list(identity)
+    # image of each submask of the assigned points; the points before the
+    # base point in hand are fixed, so their submasks keep the identity entries
+    image_mask = list(range(g.size))
     used = [False] * (n + 1)
-    found = []
+
+    def place(t, img):
+        """Send point t+1 to img, if every subset of 1..t+1 that holds
+        t+1 then lands in its own block."""
+        new_bit, img_bit = 1 << t, 1 << (img - 1)
+        for sub in range(new_bit):
+            im = image_mask[sub] | img_bit
+            if block_of[sub | new_bit] != block_of[im]:
+                return False
+            image_mask[sub | new_bit] = im
+        images[t] = img
+        return True
 
     def extend(t):
+        """Whether the images of points 1..t extend to a stabilizer element."""
         if t == n:
-            found.append(tuple(images))
-            return
-        new_bit = 1 << t
+            return True
         for img in range(1, n + 1):
-            if used[img]:
-                continue
-            img_bit = 1 << (img - 1)
-            ok = True
-            for sub in range(new_bit):
-                im = image_mask[sub] | img_bit
-                if block_of[sub | new_bit] != block_of[im]:
-                    ok = False
-                    break
-                image_mask[sub | new_bit] = im
-            if ok:
-                images[t] = img
+            if not used[img] and place(t, img):
                 used[img] = True
-                extend(t + 1)
+                found = extend(t + 1)
                 used[img] = False
-        return
+                if found:
+                    return True
+        return False
 
-    extend(0)
-    elements = tuple(sorted(found))
+    # on reaching a base point, strong generates G_(point+1) and elements lists it
+    strong = []
+    elements = [identity]
+    order = 1
+    for t in reversed(range(n)):
+        point = t + 1
+        for x in range(1, n + 1):
+            used[x] = x < point
+        transversal = {point: identity}
+        for c in range(point + 1, n + 1):
+            if c in transversal or not place(t, c):
+                continue
+            used[c] = True
+            found = extend(t + 1)
+            used[c] = False
+            if not found:
+                continue
+            strong.append(tuple(images))
+            frontier = list(transversal.items())
+            while frontier:
+                x, u = frontier.pop()
+                for s in strong:
+                    y = s[x - 1]
+                    if y not in transversal:
+                        transversal[y] = compose(s, u)
+                        frontier.append((y, transversal[y]))
+        order *= len(transversal)
+        elements = [compose(u, h) for u in transversal.values() for h in elements]
+    elements.sort()
+    if len(elements) != order or any(a == b for a, b in pairwise(elements)):
+        raise VerificationFailure(
+            f"stabilizer search gave {len(elements)} elements, not {order} distinct ones")
+    elements = tuple(elements)
     return PermGroup(g, elements, elements)
 
 

@@ -268,3 +268,14 @@ def test_identity_sweep_refuses_n_outside_1_to_8(argv, capsys):
         load_identity_sweep().main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_identity_sweep_refuses_an_empty_range(monkeypatch, capsys):
+    sweep = load_identity_sweep()
+    monkeypatch.setattr(sweep, "identity_suite", lambda g, seed: pytest.fail("a suite ran"))
+    with pytest.raises(SystemExit) as exc:
+        sweep.main(["--min-n", "6", "--max-n", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--min-n 6 is larger than --max-n 3" in captured.err

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_group
-from goa import GroundSet, Partition, perms
-from goa.errors import BudgetExceeded, InputError
+from goa import GroundSet, Partition, merge_blocks, perms
+from goa.errors import BudgetExceeded, InputError, VerificationFailure
 from goa.perms import (PermGroup, _sims_filter, act_on_subset, action_table, close_generators,
                        compose, format_permutation, format_group, identity_perm,
                        orbit_partition, parse_group_text, parse_permutation,
@@ -136,6 +136,44 @@ def brute_force_stabilizer(p):
     return sorted(out)
 
 
+def leaf_stabilizer(p):
+    """Every leaf of the tree of point images, sorted: a partial
+    assignment of 1..t is kept only if every subset of the assigned
+    points lands in its own block (the search partition_stabilizer
+    prunes to one leaf per coset)."""
+    n = p.g.n
+    block_of = p.block_of
+    images = [0] * n
+    image_mask = [0] * p.g.size  # image of each submask of the assigned prefix
+    used = [False] * (n + 1)
+    found = []
+
+    def extend(t):
+        if t == n:
+            found.append(tuple(images))
+            return
+        new_bit = 1 << t
+        for img in range(1, n + 1):
+            if used[img]:
+                continue
+            img_bit = 1 << (img - 1)
+            ok = True
+            for sub in range(new_bit):
+                im = image_mask[sub] | img_bit
+                if block_of[sub | new_bit] != block_of[im]:
+                    ok = False
+                    break
+                image_mask[sub | new_bit] = im
+            if ok:
+                images[t] = img
+                used[img] = True
+                extend(t + 1)
+                used[img] = False
+
+    extend(0)
+    return tuple(sorted(found))
+
+
 def test_stabilizer_against_brute_force(example_partition):
     h = partition_stabilizer(example_partition)
     assert list(h.elements) == brute_force_stabilizer(example_partition)
@@ -163,6 +201,50 @@ def test_stabilizer_orbits_refine_input():
         part = orbit_partition(grp)
         h = partition_stabilizer(part)
         assert orbit_partition(h).refines(part)
+
+
+@given(st.integers(min_value=1, max_value=7), st.data())
+@settings(max_examples=60, deadline=None)
+def test_stabilizer_matches_leaf_oracle(n, data):
+    g = GroundSet(n)
+    perm = st.permutations(list(range(1, n + 1))).map(tuple)
+    gens = data.draw(st.lists(perm, min_size=0, max_size=3))
+    part = orbit_partition(PermGroup(g, tuple(gens)))
+    candidates = [part]
+    # merging two blocks of one size gives partitions that need not be
+    # orbit partitions, like the order-8 counterexample
+    pairs = [(i, j) for i in range(len(part)) for j in range(i + 1, len(part))
+             if part.member_size(i) == part.member_size(j)]
+    if pairs:
+        candidates.append(merge_blocks(part, *data.draw(st.sampled_from(pairs))))
+    for p in candidates:
+        h = partition_stabilizer(p)
+        assert h.elements == h.generators == leaf_stabilizer(p)
+        if n <= 5:
+            assert list(h.elements) == brute_force_stabilizer(p)
+
+
+def test_stabilizer_of_size_levels_is_s8():
+    g = GroundSet(8)
+    levels = Partition.from_blocks(g, [[m for m in g.masks() if popcount(m) == k]
+                                       for k in range(9)])
+    h = partition_stabilizer(levels)
+    assert h.elements == tuple(sorted(permutations(range(1, 9))))
+
+
+def test_stabilizer_raises_when_the_products_repeat(monkeypatch, g3):
+    # u . h read as h: every coset gives the same elements again
+    monkeypatch.setattr(perms, "compose", lambda a, b: b)
+    levels = Partition.from_blocks(g3, [[m for m in g3.masks() if popcount(m) == k]
+                                        for k in range(4)])
+    with pytest.raises(VerificationFailure, match="not 6 distinct"):
+        partition_stabilizer(levels)
+
+
+def test_stabilizer_refuses_n_above_8():
+    g = GroundSet(9)
+    with pytest.raises(InputError, match="n <= 8"):
+        partition_stabilizer(Partition.from_blocks(g, [list(g.masks())]))
 
 
 def test_group_file_round_trip():
