@@ -12,13 +12,18 @@ A partition builds its coefficient matrix once, on first use of
 Partition.matrix; every function here and in goa.recon reads it there.
 Every "is this mask-indexed vector constant on each block" question
 (the closure test, the coefficient-matrix cross-check and the direct
-structure constants) goes through Partition.block_values.
+structure constants) goes through Partition.block_values.  It reads the
+vector at each block's first member with one operator.itemgetter, spreads
+those values back over all 2^n masks with a second one (over block_of),
+and compares the result with the vector; both getters are built on the
+first call and kept with the partition.
 """
 
 import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from goa.errors import BudgetExceeded, InputError, VerificationFailure
 from goa.linalg import mat_inverse, mat_pow
@@ -32,13 +37,14 @@ class Partition:
     """Blocks of masks in canonical order: ascending (member size, smallest
     member); members ascending.  block_of maps every mask to its block."""
 
-    __slots__ = ("g", "blocks", "block_of", "_matrix")
+    __slots__ = ("g", "blocks", "block_of", "_matrix", "_getters")
 
     def __init__(self, g, blocks, block_of):
         self.g = g
         self.blocks = blocks
         self.block_of = block_of
         self._matrix = None
+        self._getters = None
 
     @property
     def matrix(self) -> "CoeffMatrix":
@@ -84,9 +90,16 @@ class Partition:
 
     def block_values(self, vec):
         """(values, bad): values[i] is vec at the first member of block i;
-        bad is the first block on which vec is not constant, else None."""
-        values = [vec[block[0]] for block in self.blocks]
-        if tuple(map(values.__getitem__, self.block_of)) == tuple(vec):
+        bad is the first block on which vec is not constant, else None.
+        vec is any sequence indexed by masks (a list or a tuple)."""
+        if self._getters is None:
+            # itemgetter(*firsts) returns a bare item, not a 1-tuple, when
+            # there is one block; block_of has 2^n >= 2 entries
+            self._getters = itemgetter(*(block[0] for block in self.blocks)), \
+                itemgetter(*self.block_of)
+        firsts, spread = self._getters
+        values = list(firsts(vec)) if len(self.blocks) > 1 else [firsts(vec)]
+        if spread(values) == tuple(vec):
             return values, None
         bad = next(i for i, block in enumerate(self.blocks)
                    if any(vec[m] != values[i] for m in block))

@@ -20,6 +20,14 @@ is a few big-int operations over all fields at once.  Fraction entries
 and larger bounds take the list loop, which is also the packed route's
 test oracle.  downward_counts calls the list loop directly: its entries
 are multi-field words, wide by construction.
+
+The field width is chosen without a Python-level scan when the entries
+fit one signed byte, as block indicators and most transform inputs do:
+the vector is packed once into 1-byte fields, bytes.translate deletes
+every byte whose |entry| a width holds, and the narrowest width that
+leaves nothing is taken; the 1-byte fields are then widened to it by
+strided slice assignment.  Only a vector with an entry outside -128..127
+(or a non-int entry) is scanned by max and min.
 """
 
 import re
@@ -120,20 +128,62 @@ def subset_sum(c, n: int, w):
     narrowest of 1, 2, 4, 8 bytes whose signed range holds the bound);
     otherwise the list loop runs (_list_sum).  Both give exact ints for
     int input, and c is never modified.
+
+    The width test is "every |entry| <= (limit - 1) // (1+|w|)^n", the
+    same as "bound < limit".  If c packs into 1-byte fields, it is run
+    on the packed bytes by bytes.translate (_byte_code) and the fields are
+    widened in place of a second pack; otherwise max(c) and min(c) give
+    the bound.
     """
-    if len(c) != 1 << n:
-        raise InputError(f"a vector over {n} points has {1 << n} entries, got {len(c)}")
+    count = len(c)
+    if count != 1 << n:
+        raise InputError(f"a vector over {n} points has {1 << n} entries, got {count}")
     if isinstance(w, int):
-        bound = max(max(c), -min(c)) * (1 + abs(w)) ** n
-        code = next((t for t, limit in _FIELDS if bound < limit), None)
-        if code is not None:
-            try:
-                packed = pack(f"<{len(c)}{code}", *c)
-            except StructError:   # a Fraction entry
-                pass
-            else:
-                return _packed_sum(packed, code, n, w)
+        try:
+            data = pack(f"<{count}b", *c)
+        except StructError:   # a Fraction entry, or one outside -128..127
+            bound = max(max(c), -min(c)) * (1 + abs(w)) ** n
+            code = next((t for t, limit in _FIELDS if bound < limit), None)
+            if code is not None:
+                try:
+                    packed = pack(f"<{count}{code}", *c)
+                except StructError:   # a Fraction entry
+                    pass
+                else:
+                    return _packed_sum(packed, code, n, w)
+        else:
+            code = _byte_code(data, (1 + abs(w)) ** n)
+            if code is not None:
+                return _packed_sum(_widen(data, code), code, n, w)
     return _list_sum(c, n, w)
+
+
+def _byte_code(data: bytes, growth: int):
+    """The narrowest field code whose signed range holds every entry of
+    the 1-byte fields in data times growth, else None.  Width by width,
+    translate deletes the bytes whose |entry| is at most the largest that
+    fits; the width fits when nothing is left."""
+    for code, limit in _FIELDS:
+        top = (limit - 1) // growth
+        if top >= 128 or not data.translate(None, bytes(range(top + 1)) +
+                                            bytes(range(256 - top, 256))):
+            return code
+    return None
+
+
+def _widen(data: bytes, code: str):
+    """The 1-byte signed fields of data widened to the fields of struct
+    code `code`: each byte becomes the low byte of its field, and every
+    higher byte is its sign byte (0xff for a negative entry, else 0)."""
+    size = calcsize("<" + code)
+    if size == 1:
+        return data
+    out = bytearray(len(data) * size)
+    out[::size] = data
+    sign = data.translate(bytes(128) + b"\xff" * 128)
+    for j in range(1, size):
+        out[j::size] = sign
+    return out
 
 
 def _list_sum(c, n: int, w):
@@ -147,7 +197,7 @@ def _list_sum(c, n: int, w):
     return c
 
 
-def _packed_sum(data: bytes, code: str, n: int, w):
+def _packed_sum(data, code: str, n: int, w):
     """subset_sum of the 2^n little-endian signed fields of struct code
     `code` in data, whose bound fits a field.
 
@@ -162,9 +212,9 @@ def _packed_sum(data: bytes, code: str, n: int, w):
     size = calcsize("<" + code)
     bits = 8 * size
     count = 1 << n
-    bias = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+    bias, masks = _pass_masks(n, size)
     x = int.from_bytes(data, "little") ^ bias
-    for k, low in enumerate(_pass_masks(n, size)):
+    for k, low in enumerate(masks):
         d = (x & low) - (bias & low)
         x += (d if w == 1 else w * d) << (bits << k)
     return list(unpack_from(f"<{count}{code}", (x ^ bias).to_bytes(count * size, "little")))
@@ -172,19 +222,21 @@ def _packed_sum(data: bytes, code: str, n: int, w):
 
 @lru_cache(maxsize=1)
 def _pass_masks(n: int, size: int):
-    """For each pass k < n, the int whose size-byte fields are all ones
+    """(bias, masks): the bias int, 2^(bits-1) in every size-byte field
+    of 2^n, and for each pass k < n the int whose fields are all ones
     where the field index has bit k clear, and zero elsewhere.
 
-    Only the last (n, size) set is kept: n * 2^n * size bytes, 2 MB at
-    n = 16 with 2-byte fields and 80 MB at n = 20 with 4-byte fields.
-    Transforms in a row mostly share one size, and building the set takes
-    a fifth to half as long as one transform."""
+    Only the last (n, size) set is kept: (n + 1) * 2^n * size bytes, about
+    2 MB at n = 16 with 2-byte fields and 84 MB at n = 20 with 4-byte
+    fields.  Transforms in a row mostly share one size, and building the
+    set takes a fifth to half as long as one transform."""
     count = 1 << n
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
     masks = []
     for k in range(n):
         run = size << k                  # bytes in 2^k consecutive fields
         masks.append(int.from_bytes((b"\xff" * run + bytes(run)) * (count >> k + 1), "little"))
-    return tuple(masks)
+    return bias, tuple(masks)
 
 
 def downward_counts(blocks, n: int):

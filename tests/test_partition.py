@@ -45,6 +45,11 @@ def partitions(draw, max_n=6):
 
 # -- block values -------------------------------------------------------------
 
+def brute_force_block_values(part, vec):
+    scan = [i for i, block in enumerate(part.blocks) if len({vec[m] for m in block}) > 1]
+    return [vec[block[0]] for block in part.blocks], (scan[0] if scan else None)
+
+
 @given(partitions(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_block_values_matches_brute_force_scan(part, data):
@@ -53,10 +58,26 @@ def test_block_values_matches_brute_force_scan(part, data):
     vec = [vec[b] for b in part.block_of]
     for m in data.draw(st.lists(st.integers(0, part.g.size - 1), max_size=3)):
         vec[m] = data.draw(st.integers(-2, 2))
-    values, bad = part.block_values(tuple(vec))
-    assert values == [vec[block[0]] for block in part.blocks]
-    scan = [i for i, block in enumerate(part.blocks) if len({vec[m] for m in block}) > 1]
-    assert bad == (scan[0] if scan else None)
+    assert part.block_values(tuple(vec)) == brute_force_block_values(part, vec)
+
+
+def test_block_values_edge_cases(g3):
+    one_block = Partition.from_blocks(g3, [list(g3.masks())])
+    # itemgetter of one index returns a bare item, not a 1-tuple
+    for vec in ([5] * 8, (5,) * 8, [(1, 2)] * 8, [0] * 7 + [1], (0,) * 7 + (1,)):
+        assert one_block.block_values(vec) == brute_force_block_values(one_block, vec)
+    assert one_block.block_values([(1, 2)] * 8) == ([(1, 2)], None)
+    levels = cardinality_partition(g3)
+    levels.block_values([popcount(m) for m in g3.masks()])
+    getters = levels._getters
+    # different vectors on one partition reuse the getters of the first call
+    for vec in ([1, 2, 2, 3, 2, 3, 3, 9], tuple(-popcount(m) for m in g3.masks()),
+                [0, 1, 1, 2, 2, 2, 2, 3]):
+        values, bad = levels.block_values(vec)
+        assert (values, bad) == brute_force_block_values(levels, vec)
+        assert type(values) is list
+        assert levels._getters is getters
+    assert levels.block_values([0, 1, 1, 2, 2, 2, 2, 3])[1] == 1   # mask 4 = {3} holds 2
 
 
 # -- axioms ----------------------------------------------------------------

@@ -232,6 +232,29 @@ def test_stabilizer_of_size_levels_is_s8():
     assert h.elements == tuple(sorted(permutations(range(1, 9))))
 
 
+class CountingTuple(tuple):
+    """A tuple that counts its item reads."""
+    reads = 0
+
+    def __getitem__(self, i):
+        CountingTuple.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_stabilizer_search_on_size_levels_reads_a_pinned_number_of_blocks(monkeypatch):
+    # The search prunes by skipping images already in an orbit; a search
+    # that misses orbit points still finds every element, only slower.
+    # Closing each orbit under the newest strong generator alone reads
+    # block_of 13 842 times here, not 3330.
+    g = GroundSet(8)
+    levels = Partition.from_blocks(g, [[m for m in g.masks() if popcount(m) == k]
+                                       for k in range(9)])
+    monkeypatch.setattr(CountingTuple, "reads", 0)
+    h = partition_stabilizer(Partition(g, levels.blocks, CountingTuple(levels.block_of)))
+    assert h.order == 40320
+    assert CountingTuple.reads == 3330
+
+
 def test_stabilizer_raises_when_the_products_repeat(monkeypatch, g3):
     # u . h read as h: every coset gives the same elements again
     monkeypatch.setattr(perms, "compose", lambda a, b: b)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb
 from struct import calcsize
@@ -204,6 +205,40 @@ def test_field_width_at_and_one_past_each_boundary(monkeypatch, limit, inside, p
                     assert out == _list_sum(c, n, w)
                     assert all(type(v) is int for v in out)
                     assert abs(out[-1]) == entries * (1 + abs(w)) ** n
+
+
+def reference_code(c, n, w):
+    """The field code subset_sum must take, from max|c| * (1+|w|)^n."""
+    bound = max(abs(v) for v in c) * (1 + abs(w)) ** n
+    return next((code for code, limit in subsets._FIELDS if bound < limit), None)
+
+
+def test_byte_route_picks_the_width_of_the_direct_bound(monkeypatch):
+    # vectors that pack into 1-byte fields choose their width by translate;
+    # -128 and 127 are the ends of that range, 128 takes the max/min route
+    taken = spy_routes(monkeypatch)
+    rng = random.Random(16)
+    cases = []
+    for n in range(11):
+        for w in PACKED_WEIGHTS:
+            growth = (1 + abs(w)) ** n
+            for limit in (f[0] for f in FIELD_LIMITS):
+                # the largest |entry| whose bound fits this width, and one more
+                for m in {(limit - 1) // growth, (limit - 1) // growth + 1}:
+                    m = min(m, 128)
+                    c = [rng.randint(-m, m) for _ in range(1 << n)]
+                    c[rng.randrange(1 << n)] = m if m < 128 else -128
+                    cases.append((c, n, w))
+        size = 1 << n
+        cases.append(([True, False] * (size // 2) or [True], n, 1))
+        cases.append(([-128] + [127] * (size - 1), n, -1))
+        cases.append(([0] * (size - 1) + [128], n, 2))
+    for c, n, w in cases:
+        del taken[:]
+        out = subset_sum(c, n, w)
+        assert taken == [reference_code(c, n, w)], (n, w, max(map(abs, c)))
+        assert out == _list_sum(c, n, w)
+        assert all(type(v) is int for v in out)
 
 
 def test_fraction_mixed_and_wide_vectors_take_the_list_loop(monkeypatch):
