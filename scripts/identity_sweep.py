@@ -11,7 +11,8 @@ import sys
 import time
 
 from goa import GroundSet
-from goa.identities import DEFAULT_SEED, identity_suite
+from goa.errors import DEFAULT_SEED
+from goa.identities import identity_suite
 
 
 def main(argv=None):

@@ -5,6 +5,13 @@ error, 3 resource budget exceeded, 4 internal error (any other
 exception, reported as one stderr line, so a crash never reads as a
 verdict).  Reports are plain 'key: value' lines so acceptance logs diff
 cleanly.
+
+Each command imports the goa modules it uses when it runs, not when
+this module loads.  Every check runs as its own short process, and
+loading all of goa adds half (with a bytecode cache) to all (without
+one) of the bare interpreter's start-up time to each, while most
+commands need only some of its modules.  The imports run inside main's
+try, so a module that fails to import exits 4, not 1.
 """
 
 import argparse
@@ -12,17 +19,8 @@ import re
 import sys
 from pathlib import Path
 
-from goa.digraphs import graph_kelly_check, hypomorphy_search
-from goa.errors import BudgetExceeded, InputError, VerificationFailure, budget_deadline
-from goa.identities import DEFAULT_SEED, identity_suite
-from goa.incidence import bilinear_dimension_comparison
-from goa.partition import (format_partition, mnukhin_check, parse_partition_text,
-                           verify_goa_closure, verify_strongly_regular)
-from goa.perms import format_permutation, orbit_partition, parse_group_text, partition_stabilizer
-from goa.recon import (lovasz_check, lovasz_tight_instance, maynard_siemons_index,
-                       muller_check, reconstruction_pairs)
-from goa.srp import build_counterexample, enumerate_strongly_regular, is_orbit_partition
-from goa.subsets import GroundSet, format_subset
+from goa.errors import (DEFAULT_SEED, BudgetExceeded, InputError, VerificationFailure,
+                        budget_deadline)
 
 
 def _read(path):
@@ -36,14 +34,17 @@ def _read(path):
 
 
 def _load_partition(path):
+    from goa.partition import parse_partition_text
     return parse_partition_text(_read(path))
 
 
 def _load_group(path):
+    from goa.perms import parse_group_text
     return parse_group_text(_read(path))
 
 
 def cmd_verify(args):
+    from goa.partition import verify_goa_closure, verify_strongly_regular
     if args.budget is not None and not args.closure:
         raise InputError("--budget bounds the --closure test; give it with --closure")
     deadline = budget_deadline(args.budget)
@@ -61,6 +62,7 @@ def cmd_verify(args):
 
 
 def cmd_coeff(args):
+    from goa.partition import mnukhin_check
     if args.power == 0:
         raise InputError("power must be a nonzero integer")
     p = _load_partition(args.partition)
@@ -73,6 +75,7 @@ def cmd_coeff(args):
 
 
 def cmd_is_orbit_algebra(args):
+    from goa.srp import is_orbit_partition
     p = _load_partition(args.partition)
     flag, witness = is_orbit_partition(p)
     print(f"is-orbit-partition: {flag}")
@@ -81,6 +84,9 @@ def cmd_is_orbit_algebra(args):
 
 
 def cmd_enumerate_srp(args):
+    from goa.partition import format_partition
+    from goa.srp import enumerate_strongly_regular
+    from goa.subsets import GroundSet
     g = GroundSet(args.n)
     parts, complete = enumerate_strongly_regular(g, budget_seconds=args.budget)
     print(f"n: {args.n}")
@@ -93,6 +99,7 @@ def cmd_enumerate_srp(args):
 
 
 def cmd_counterexample(args):
+    from goa.srp import build_counterexample
     _, rep = build_counterexample()
     for line in rep.lines():
         print(line)
@@ -100,12 +107,15 @@ def cmd_counterexample(args):
 
 
 def cmd_orbits(args):
+    from goa.partition import format_partition
+    from goa.perms import orbit_partition
     group = _load_group(args.group)
     print(format_partition(orbit_partition(group)))
     return 0
 
 
 def cmd_stabilizer(args):
+    from goa.perms import format_permutation, partition_stabilizer
     p = _load_partition(args.partition)
     h = partition_stabilizer(p)
     print(f"order: {h.order}")
@@ -115,6 +125,8 @@ def cmd_stabilizer(args):
 
 
 def cmd_identities(args):
+    from goa.identities import identity_suite
+    from goa.subsets import GroundSet
     checks = identity_suite(GroundSet(args.n), seed=args.seed)
     for name, ok, detail in checks:
         suffix = f"  ({detail})" if detail else ""
@@ -123,6 +135,8 @@ def cmd_identities(args):
 
 
 def cmd_recon(args):
+    from goa.recon import lovasz_check, muller_check, reconstruction_pairs
+    from goa.subsets import format_subset
     p = _load_partition(args.partition)
     if args.size is not None and not 0 <= args.size <= p.g.n:
         raise InputError(f"--size must be in 0..{p.g.n}, got {args.size}")
@@ -144,6 +158,9 @@ def cmd_recon(args):
 
 
 def cmd_muller_tight(args):
+    from goa.perms import orbit_partition
+    from goa.recon import lovasz_tight_instance, muller_check, reconstruction_pairs
+    from goa.subsets import format_subset
     group, a_mask, b_mask = lovasz_tight_instance(args.r, args.pad)
     part = orbit_partition(group)
     print(f"n: {group.g.n}")
@@ -162,6 +179,7 @@ def cmd_muller_tight(args):
 
 
 def cmd_free_index(args):
+    from goa.recon import maynard_siemons_index
     group = _load_group(args.group)
     index = maynard_siemons_index(group)
     print(f"reconstruction-index: {index}")
@@ -170,6 +188,7 @@ def cmd_free_index(args):
 
 
 def cmd_digraph_demo(args):
+    from goa.digraphs import graph_kelly_check, hypomorphy_search
     f = args.vertices
     drep = hypomorphy_search(f, directed=True)
     for line in drep.lines():
@@ -187,6 +206,7 @@ def cmd_digraph_demo(args):
 
 
 def cmd_dimensions(args):
+    from goa.incidence import bilinear_dimension_comparison
     if args.n < 1:
         raise InputError(f"--n must be at least 1, got {args.n}")
     lhs, rhs, holds = bilinear_dimension_comparison(args.n)

@@ -1,6 +1,10 @@
-"""Shared exception types, and the deadline of a time budget."""
+"""Shared exception types, the deadline of a time budget, and the default
+seed of the randomized spot checks.  The seed lives here because this is
+the one goa module the CLI loads before it parses its arguments."""
 
 import time
+
+DEFAULT_SEED = 1789
 
 
 class InputError(ValueError):

@@ -33,15 +33,13 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from operator import mul
 
-from goa.errors import InputError
+from goa.errors import DEFAULT_SEED, InputError
 from goa.operators import (complementation, derivation, e_klr, ell_power,
                            ell_power_series, epsilon_inverse, epsilon_map,
                            vandermonde_coeffs)
 from goa.poly import P, Poly
 from goa.subsets import GroundSet, enumerate_by_size, popcount, submasks
 from goa.terwilliger import verify_terwilliger_generation
-
-DEFAULT_SEED = 1789
 
 
 def _random_poly(g, rng):

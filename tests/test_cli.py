@@ -1,6 +1,9 @@
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import goa
 from goa import GroundSet, Partition
 from goa.cli import main
 from goa.errors import InputError
@@ -206,11 +210,78 @@ def test_internal_error_exits_4(monkeypatch, capsys):
     def broken():
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("goa.cli.build_counterexample", broken)
+    monkeypatch.setattr("goa.srp.build_counterexample", broken)
     code, out, err = run(capsys, "counterexample")
     assert code == 4
     assert out == ""
     assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_a_module_that_fails_to_import_exits_4(monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "goa.srp", None)
+    code, out, err = run(capsys, "counterexample")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error:")
+
+
+# -- start-up: each command imports only the modules it runs ------------------
+
+SRC = Path(goa.__file__).resolve().parent.parent
+
+
+def goa_modules_after(argv):
+    """Exit code and goa modules of a fresh interpreter that imports goa.cli
+    and, unless argv is None, runs main(argv) with its stdout discarded."""
+    probe = ("import contextlib, io, sys\n"
+             "import goa.cli\n"
+             "code = None\n"
+             f"if {argv!r} is not None:\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"        code = goa.cli.main({argv!r})\n"
+             "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'goa'))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    code, *modules = done.stdout.split()
+    return code, set(modules)
+
+
+def test_importing_the_cli_loads_only_the_errors_module():
+    assert goa_modules_after(None) == ("None", {"goa", "goa.cli", "goa.errors"})
+
+
+@pytest.mark.parametrize("argv_of", [
+    lambda d: ["counterexample"],
+    lambda d: ["is-orbit-algebra", "--partition", str(d / "example.txt")],
+], ids=["counterexample", "is-orbit-algebra"])
+def test_realizability_commands_load_no_identity_or_reconstruction_module(tmp_path, argv_of):
+    (tmp_path / "example.txt").write_text(EXAMPLE)
+    code, modules = goa_modules_after(argv_of(tmp_path))
+    assert code == "0"
+    assert {"goa.srp", "goa.partition", "goa.perms"} <= modules
+    assert not modules & {"goa.identities", "goa.terwilliger", "goa.digraphs",
+                          "goa.incidence", "goa.recon"}
+
+
+def test_identity_suite_loads_no_partition_or_group_module():
+    code, modules = goa_modules_after(["identities", "--n", "3"])
+    assert code == "0"
+    assert "goa.identities" in modules
+    assert not modules & {"goa.partition", "goa.perms", "goa.srp"}
+
+
+def test_every_package_name_is_its_submodule_object():
+    for name in goa.__all__:
+        value = getattr(goa, name)
+        assert value.__module__.startswith("goa.")
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    namespace = {}
+    exec("from goa import *", namespace)
+    assert sorted(k for k in namespace if k != "__builtins__") == sorted(goa.__all__)
+    assert set(goa.__all__) <= set(dir(goa))
+    with pytest.raises(AttributeError):
+        goa.no_such_name
 
 
 def test_coeff_power_zero_rejected_before_output(tmp_path, capsys):
