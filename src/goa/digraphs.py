@@ -7,8 +7,6 @@ S_f, lifted to edge indices, on the edge masks (perms.orbit_partition);
 hypomorphy classes group equal multisets of vertex-deleted decks.
 """
 
-from dataclasses import dataclass, field
-
 from goa.errors import InputError, VerificationFailure
 from goa.perms import close_generators, orbit_partition
 from goa.subsets import GroundSet, downward_counts, unpack
@@ -78,16 +76,24 @@ class EdgeWorld:
         return "{" + ", ".join(parts) + "}" if parts else "{}"
 
 
-@dataclass
 class HypomorphyReport:
-    f: int
-    directed: bool
-    n_edges: int
-    total: int
-    iso_classes: int
-    nontrivial: list = field(default_factory=list)  # lists of canonical forms per deck
-    witness: tuple = None  # (G, H, subtype, count_G, count_H)
-    world: EdgeWorld = field(default=None, repr=False)
+    """The search on f vertices.  nontrivial lists, per deck with more
+    than one class, its canonical forms; witness is (G, H, subtype,
+    count_G, count_H)."""
+
+    __slots__ = ("f", "directed", "n_edges", "total", "iso_classes", "nontrivial",
+                 "witness", "world")
+
+    def __init__(self, f: int, directed: bool, n_edges: int, total: int, iso_classes: int,
+                 nontrivial: list = None, witness: tuple = None, world: EdgeWorld = None):
+        self.f = f
+        self.directed = directed
+        self.n_edges = n_edges
+        self.total = total
+        self.iso_classes = iso_classes
+        self.nontrivial = [] if nontrivial is None else nontrivial
+        self.witness = witness
+        self.world = world
 
     @property
     def has_nontrivial(self):

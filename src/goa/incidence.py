@@ -10,7 +10,6 @@ are the Venn-cell cardinalities, so valid functions of order t biject
 with weak compositions of n into 2^t parts.
 """
 
-from dataclasses import dataclass
 from math import comb
 
 from goa.errors import InputError
@@ -20,12 +19,25 @@ from goa.poly import Poly
 from goa.subsets import GroundSet, popcount, subset_sum
 
 
-@dataclass(frozen=True)
 class IncidenceFunction:
-    """values[J] for J a bitmask over {1..t}; values[0] = n."""
+    """values[J] for J a bitmask over {1..t}, t = order; values[0] = n.
+    Immutable; two are equal when order and values are (see realizes)."""
 
-    order: int
-    values: tuple
+    __slots__ = ("order", "values")
+
+    def __init__(self, order: int, values: tuple):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, *a):
+        raise AttributeError("IncidenceFunction is immutable")
+
+    def __eq__(self, other):
+        return (isinstance(other, IncidenceFunction) and self.order == other.order
+                and self.values == other.values)
+
+    def __hash__(self):
+        return hash((self.order, self.values))
 
     def mu(self, *indices):
         j = 0

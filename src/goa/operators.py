@@ -9,12 +9,9 @@ op(sigma . v) = sigma . op(v).  goa.identities relies on this to check
 each identity between them once per S_n orbit.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 
 from goa.errors import InputError
-from goa.linalg import solve_exact
 from goa.poly import P, Poly
 from goa.subsets import GroundSet, enumerate_by_size, popcount, subset_sum
 
@@ -70,6 +67,7 @@ def ell_power(m: int, p: Poly) -> Poly:
 def ell_power_series(m: int, p: Poly) -> Poly:
     """Reference route for ell_power: the literal truncated exponential
     series in the derivation."""
+    from fractions import Fraction
     if m == 0:
         raise InputError("ell_power requires a nonzero integer power")
     _require_p_basis(p)
@@ -106,20 +104,24 @@ def vandermonde_coeffs(g: GroundSet):
     """The unique rationals a_1..a_{n+1} with
     derivation = sum of a_r * ell^r, obtained by solving
     sum_r a_r r^k = [k == 1] for k = 0..n exactly."""
+    from fractions import Fraction
+    from goa.linalg import solve_exact
     n = g.n
     rows = [[Fraction(r) ** k for r in range(1, n + 2)] for k in range(n + 1)]
     rhs = [Fraction(1) if k == 1 else Fraction(0) for k in range(n + 1)]
     return solve_exact(rows, rhs)
 
 
-@dataclass
 class LinearOperator:
     """A named linear map on P-basis polynomials."""
 
-    g: GroundSet
-    apply: object
-    name: str = ""
-    admissible: bool = True
+    __slots__ = ("g", "apply", "name", "admissible")
+
+    def __init__(self, g: GroundSet, apply, name: str = "", admissible: bool = True):
+        self.g = g
+        self.apply = apply
+        self.name = name
+        self.admissible = admissible
 
     def __call__(self, p: Poly) -> Poly:
         return self.apply(p)

@@ -17,18 +17,18 @@ vector at each block's first member with one operator.itemgetter, spreads
 those values back over all 2^n masks with a second one (over block_of),
 and compares the result with the vector; both getters are built on the
 first call and kept with the partition.
+
+goa.poly, goa.operators, goa.linalg and fractions are imported inside
+the functions that use them: deciding realizability (goa.srp,
+goa.perms) needs none of them, and each goa command is a short process
+that would otherwise compile them at start-up.
 """
 
 import time
 import warnings
-from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter
 
 from goa.errors import BudgetExceeded, InputError, VerificationFailure
-from goa.linalg import mat_inverse, mat_pow
-from goa.operators import complementation, derivation, ell_power
-from goa.poly import EPS, Poly
 from goa.subsets import (GroundSet, downward_counts, format_subset, parse_header, parse_subset,
                          popcount, unpack)
 
@@ -117,7 +117,9 @@ class Partition:
         j = self.block_of[comps[0]]
         return j if list(self.blocks[j]) == comps else None
 
-    def block_poly(self, i) -> Poly:
+    def block_poly(self, i):
+        """The P-basis sum of block i's members, a goa.poly.Poly."""
+        from goa.poly import Poly
         return Poly.block_sum(self.g, self.blocks[i])
 
     def refines(self, other) -> bool:
@@ -125,14 +127,22 @@ class Partition:
         return all(len({other.block_of[m] for m in b}) == 1 for b in self.blocks)
 
 
-@dataclass
 class SrpReport:
-    size_homogeneous: bool
-    complement_closed: bool
-    counts_constant: bool
-    witness: tuple = None          # first failing axiom's witness
-    comp_map: tuple = None         # c(i) per block, when axiom 2 holds
-    counts: tuple = None           # downward-count rows (memoryviews), when axiom 3 holds
+    """The three axioms' verdicts.  witness is the first failing axiom's
+    witness; comp_map (c(i) per block) is set when axiom 2 holds, and
+    counts (downward-count rows, as memoryviews) when all three hold."""
+
+    __slots__ = ("size_homogeneous", "complement_closed", "counts_constant",
+                 "witness", "comp_map", "counts")
+
+    def __init__(self, size_homogeneous, complement_closed, counts_constant,
+                 witness=None, comp_map=None, counts=None):
+        self.size_homogeneous = size_homogeneous
+        self.complement_closed = complement_closed
+        self.counts_constant = counts_constant
+        self.witness = witness
+        self.comp_map = comp_map
+        self.counts = counts
 
     @property
     def ok(self):
@@ -192,17 +202,23 @@ def verify_strongly_regular(p: Partition) -> SrpReport:
     )
 
 
-@dataclass(frozen=True)
 class CoeffMatrix:
     """entries[i][j] = number of members of block j inside a member of block i.
     Row i is a read-only memoryview of block i's packed downward_counts
     word (subsets.unpack), not a tuple: index it, iterate it or list() it.
-    Rows of 2- or 4-byte fields cannot be hashed, nor can the matrix."""
+    member_sizes holds the common member cardinality of each block,
+    orbit_sizes its number of members.  Immutable."""
 
-    entries: tuple
-    member_sizes: tuple   # common member cardinality per block
-    orbit_sizes: tuple    # number of members per block
-    comp_map: tuple
+    __slots__ = ("entries", "member_sizes", "orbit_sizes", "comp_map")
+
+    def __init__(self, entries, member_sizes, orbit_sizes, comp_map):
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "member_sizes", member_sizes)
+        object.__setattr__(self, "orbit_sizes", orbit_sizes)
+        object.__setattr__(self, "comp_map", comp_map)
+
+    def __setattr__(self, *a):
+        raise AttributeError("CoeffMatrix is immutable")
 
     @property
     def s(self):
@@ -222,6 +238,8 @@ def coeff_matrix(p: Partition) -> CoeffMatrix:
     """Downward-count matrix of a strongly regular partition, cross-checked
     against the operator comp . ell . comp expressed on the block basis.
     Callers read p.matrix, which calls this once per partition."""
+    from goa.operators import complementation, ell_power
+    from goa.poly import Poly
     report = verify_strongly_regular(p)
     if not report.ok:
         raise InputError("coefficient matrix requires a strongly regular partition")
@@ -233,8 +251,8 @@ def coeff_matrix(p: Partition) -> CoeffMatrix:
     )
     # comp . ell . comp sends p_A to the sum of p_C over supersets C of A;
     # on the block basis its column i must read off column i of the counts.
-    for i in range(len(p.blocks)):
-        image = complementation(ell_power(1, complementation(p.block_poly(i))))
+    for i, block in enumerate(p.blocks):
+        image = complementation(ell_power(1, complementation(Poly.block_sum(p.g, block))))
         column, bad = p.block_values(image.coeffs)
         if bad is not None or column != [row[i] for row in m.entries]:
             raise VerificationFailure(
@@ -245,6 +263,7 @@ def coeff_matrix(p: Partition) -> CoeffMatrix:
 def upward_count(p: Partition, i: int, j: int) -> int:
     """Members of block j containing a member of block i; checked constant
     and equal to both closed forms (orbit-size ratio and complement form)."""
+    from fractions import Fraction
     matrix = p.matrix
     direct = None
     members_j = p.blocks[j]
@@ -263,11 +282,16 @@ def upward_count(p: Partition, i: int, j: int) -> int:
     return direct
 
 
-@dataclass
 class GoaReport:
-    closed: bool
-    failure: tuple = None     # (operation, blocks involved)
-    witness_poly: object = None  # the image that left the span
+    """closed, and on failure the operation with the blocks involved
+    (failure) and the image that left the span (witness_poly)."""
+
+    __slots__ = ("closed", "failure", "witness_poly")
+
+    def __init__(self, closed, failure=None, witness_poly=None):
+        self.closed = closed
+        self.failure = failure
+        self.witness_poly = witness_poly
 
     def lines(self):
         out = [f"closed-under-derivation-complementation-multiplication: {self.closed}"]
@@ -291,7 +315,9 @@ def verify_goa_closure(p: Partition, deadline=None) -> GoaReport:
     time.monotonic() reading, see errors.budget_deadline) it raises
     BudgetExceeded.
     """
-    polys = [p.block_poly(i) for i in range(len(p.blocks))]
+    from goa.operators import complementation, derivation
+    from goa.poly import EPS, Poly
+    polys = [Poly.block_sum(p.g, block) for block in p.blocks]
     total = 2 * len(polys) + len(polys) * (len(polys) + 1) // 2
 
     def images():
@@ -341,6 +367,8 @@ def structure_constants(p: Partition, i: int, j: int):
 def mnukhin_check(p: Partition, m: int) -> bool:
     """Entrywise power law of the coefficient matrix: the (i,j) entry of
     M^m equals m^(size_i - size_j) times the (i,j) entry of M."""
+    from fractions import Fraction
+    from goa.linalg import mat_inverse, mat_pow
     if m == 0:
         raise InputError("power must be a nonzero integer")
     matrix = p.matrix
@@ -371,6 +399,7 @@ def merge_blocks(p: Partition, i: int, j: int) -> Partition:
 
 def partition_from_polys(polys) -> Partition:
     """Classes of the relation 'every given polynomial takes equal values'."""
+    from goa.poly import EPS
     if not polys:
         raise InputError("need at least one polynomial")
     g = polys[0].g

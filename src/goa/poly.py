@@ -9,8 +9,6 @@ tagged with its basis:
 Coefficients are Python ints or Fractions; the two mix exactly.
 """
 
-from fractions import Fraction
-
 from goa.errors import InputError
 from goa.subsets import GroundSet, format_subset, popcount, submasks, subset_sum
 
@@ -86,7 +84,8 @@ class Poly:
                 and self.basis == other.basis and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.g, self.basis, tuple(map(Fraction, self.coeffs))))
+        # an int and the equal Fraction hash alike, so this agrees with ==
+        return hash((self.g, self.basis, self.coeffs))
 
     def is_zero(self):
         return not any(self.coeffs)

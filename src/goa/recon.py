@@ -4,7 +4,6 @@ the ground set (and above the log of the orbit size), the families
 showing both bounds tight, and the free-action reconstruction index.
 """
 
-from dataclasses import dataclass
 from math import comb
 
 from goa.errors import BudgetExceeded, InputError, VerificationFailure
@@ -13,22 +12,35 @@ from goa.perms import PermGroup, close_generators, identity_perm, orbit_partitio
 from goa.subsets import GroundSet, format_subset, mask_of, popcount
 
 
-@dataclass(frozen=True)
 class Deck:
     """Coefficient-matrix row of a block, restricted to strictly smaller
-    member sizes, in canonical block order."""
+    member sizes, in canonical block order.  Immutable."""
 
-    block: int
-    smaller_blocks: tuple
-    entries: tuple
+    __slots__ = ("block", "smaller_blocks", "entries")
+
+    def __init__(self, block: int, smaller_blocks: tuple, entries: tuple):
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "smaller_blocks", smaller_blocks)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Deck is immutable")
 
 
-@dataclass(frozen=True)
 class ReconPair:
-    a: int
-    b: int
-    size: int
-    deck: Deck
+    """Blocks a < b at member size `size` with the identical deck `deck`.
+    Immutable."""
+
+    __slots__ = ("a", "b", "size", "deck")
+
+    def __init__(self, a: int, b: int, size: int, deck: Deck):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "deck", deck)
+
+    def __setattr__(self, *a):
+        raise AttributeError("ReconPair is immutable")
 
 
 def deck(p: Partition, i: int) -> Deck:

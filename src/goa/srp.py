@@ -4,7 +4,6 @@ but not the orbit partition of any permutation group.
 """
 
 import time
-from dataclasses import dataclass, field
 from itertools import chain, product
 
 from goa.errors import BudgetExceeded, InputError, VerificationFailure, budget_deadline
@@ -143,16 +142,26 @@ COUNTEREXAMPLE_GENERATORS = ("(1,2)(3,4)", "(5,6)(7,8)",
 COUNTEREXAMPLE_MERGE = ((1, 3, 5, 7), (1, 3, 5, 8))
 
 
-@dataclass
 class CounterexampleReport:
-    group_order: int
-    strongly_regular: bool
-    goa_closed: bool
-    orbit_realizable: bool
-    decompositions_a: list = field(default_factory=list)   # unordered pairs with union = set 1
-    decompositions_b: list = field(default_factory=list)
-    meet_blocks_differ: bool = False
-    certificate_ok: bool = False
+    """The verdicts on the merged partition; decompositions_a and _b list
+    the unordered pairs of the orbit whose union is merged set 1 and 2."""
+
+    __slots__ = ("group_order", "strongly_regular", "goa_closed", "orbit_realizable",
+                 "decompositions_a", "decompositions_b", "meet_blocks_differ",
+                 "certificate_ok")
+
+    def __init__(self, group_order: int, strongly_regular: bool, goa_closed: bool,
+                 orbit_realizable: bool, decompositions_a: list = None,
+                 decompositions_b: list = None, meet_blocks_differ: bool = False,
+                 certificate_ok: bool = False):
+        self.group_order = group_order
+        self.strongly_regular = strongly_regular
+        self.goa_closed = goa_closed
+        self.orbit_realizable = orbit_realizable
+        self.decompositions_a = [] if decompositions_a is None else decompositions_a
+        self.decompositions_b = [] if decompositions_b is None else decompositions_b
+        self.meet_blocks_differ = meet_blocks_differ
+        self.certificate_ok = certificate_ok
 
     @property
     def ok(self):

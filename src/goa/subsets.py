@@ -32,7 +32,6 @@ strided slice assignment.  Only a vector with an entry outside -128..127
 
 import re
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import add, mul
@@ -46,13 +45,27 @@ MAX_N_VECTOR = 20   # 2^n coefficient vectors stay practical up to here
 _FIELDS = tuple((code, 1 << 8 * calcsize("<" + code) - 1) for code in "bhiq")
 
 
-@dataclass(frozen=True)
 class GroundSet:
-    n: int
+    """The points 1..n, whose 2^n subsets are the masks 0..2^n - 1."""
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_N_VECTOR:
-            raise InputError(f"ground set size must be in 1..{MAX_N_VECTOR}, got {self.n}")
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        if not 1 <= n <= MAX_N_VECTOR:
+            raise InputError(f"ground set size must be in 1..{MAX_N_VECTOR}, got {n}")
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, *a):
+        raise AttributeError("GroundSet is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, GroundSet) and self.n == other.n
+
+    def __hash__(self):
+        return hash((self.n,))   # the value a frozen dataclass gave, so set orders hold
+
+    def __repr__(self):
+        return f"GroundSet({self.n})"
 
     @property
     def size(self):

@@ -23,7 +23,6 @@ are the level blocks of E[r,r+1,r] and E[r+1,r,r], whose ranks
 surjectivity.
 """
 
-from dataclasses import dataclass, field
 from math import comb, factorial
 
 from goa.errors import InputError
@@ -49,12 +48,18 @@ def _powers(p, count):
     return out
 
 
-@dataclass
 class GenerationReport:
-    n: int
-    checks: list = field(default_factory=list)   # (name, ok, detail)
-    notes: list = field(default_factory=list)
-    dim_reconstructed: int = 0
+    """The checks run on GroundSet(n), each a (name, ok, detail) triple,
+    with notes and the dimension reconstructed."""
+
+    __slots__ = ("n", "checks", "notes", "dim_reconstructed")
+
+    def __init__(self, n: int, checks: list = None, notes: list = None,
+                 dim_reconstructed: int = 0):
+        self.n = n
+        self.checks = [] if checks is None else checks
+        self.notes = [] if notes is None else notes
+        self.dim_reconstructed = dim_reconstructed
 
     def add(self, name, ok, detail=""):
         self.checks.append((name, bool(ok), detail))

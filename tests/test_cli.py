@@ -230,16 +230,23 @@ def test_a_module_that_fails_to_import_exits_4(monkeypatch, capsys):
 SRC = Path(goa.__file__).resolve().parent.parent
 
 
+# Standard modules a goa command should load only when it needs them:
+# dataclasses (which imports inspect) never, fractions only to build a Fraction.
+WATCHED_STDLIB = ("dataclasses", "inspect", "fractions")
+
+
 def goa_modules_after(argv):
-    """Exit code and goa modules of a fresh interpreter that imports goa.cli
-    and, unless argv is None, runs main(argv) with its stdout discarded."""
+    """Exit code and the goa and WATCHED_STDLIB modules of a fresh
+    interpreter that imports goa.cli and, unless argv is None, runs
+    main(argv) with its stdout discarded."""
     probe = ("import contextlib, io, sys\n"
              "import goa.cli\n"
              "code = None\n"
              f"if {argv!r} is not None:\n"
              "    with contextlib.redirect_stdout(io.StringIO()):\n"
              f"        code = goa.cli.main({argv!r})\n"
-             "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'goa'))\n")
+             "print(code, *sorted(m for m in sys.modules\n"
+             f"                   if m.split('.')[0] == 'goa' or m in {WATCHED_STDLIB!r}))\n")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
@@ -262,6 +269,54 @@ def test_realizability_commands_load_no_identity_or_reconstruction_module(tmp_pa
     assert {"goa.srp", "goa.partition", "goa.perms"} <= modules
     assert not modules & {"goa.identities", "goa.terwilliger", "goa.digraphs",
                           "goa.incidence", "goa.recon"}
+
+
+def test_is_orbit_algebra_loads_only_the_realizability_modules(tmp_path):
+    (tmp_path / "example.txt").write_text(EXAMPLE)
+    code, modules = goa_modules_after(["is-orbit-algebra", "--partition",
+                                       str(tmp_path / "example.txt")])
+    assert code == "0"
+    assert modules == {"goa", "goa.cli", "goa.errors", "goa.subsets", "goa.partition",
+                       "goa.perms", "goa.srp"}
+
+
+def test_counterexample_adds_only_the_polynomial_layer():
+    code, modules = goa_modules_after(["counterexample"])
+    assert code == "0"
+    assert modules == {"goa", "goa.cli", "goa.errors", "goa.subsets", "goa.partition",
+                       "goa.perms", "goa.srp", "goa.poly", "goa.operators"}
+
+
+@pytest.mark.parametrize("argv_of, fractions", [
+    (lambda d: ["counterexample"], False),
+    (lambda d: ["is-orbit-algebra", "--partition", str(d / "example.txt")], False),
+    (lambda d: ["enumerate-srp", "--n", "3"], False),
+    (lambda d: ["verify", "--closure", "--partition", str(d / "example.txt")], False),
+    # recon.muller_check calls partition.upward_count, which builds a Fraction
+    (lambda d: ["muller-tight", "--r", "3"], True),
+    (lambda d: ["identities", "--n", "3"], True),
+], ids=["counterexample", "is-orbit-algebra", "enumerate-srp", "verify-closure",
+        "muller-tight", "identities"])
+def test_commands_load_no_dataclasses_and_fractions_only_when_used(tmp_path, argv_of,
+                                                                   fractions):
+    (tmp_path / "example.txt").write_text(EXAMPLE)
+    code, modules = goa_modules_after(argv_of(tmp_path))
+    assert code == "0"
+    assert not modules & {"dataclasses", "inspect"}
+    assert ("fractions" in modules) == fractions
+
+
+def test_importing_every_goa_module_loads_no_dataclasses():
+    names = sorted(f"goa.{f.stem}" for f in (SRC / "goa").glob("*.py") if f.stem != "__init__")
+    probe = ("import importlib, sys\n"
+             f"for name in {names!r}:\n"
+             "    importlib.import_module(name)\n"
+             "print(len([m for m in sys.modules if m.startswith('goa.')]),\n"
+             "      'dataclasses' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.split() == [str(len(names)), "False"]
 
 
 def test_identity_suite_loads_no_partition_or_group_module():

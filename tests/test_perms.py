@@ -319,6 +319,53 @@ def test_sims_filter_keeps_the_group_and_bounds_the_sweeps(n, data):
         assert part == brute_force_orbits(g, elements)
 
 
+def tuple_sims_filter(gens):
+    """Sims' filter on tuples, sifting by tuple(map(t^-1, sigma)): the
+    oracle of perms._sims_filter, which sifts bytes."""
+    inverses = {}   # (i, t(i)) -> t^-1 with a 0 in front, so that x indexes t^-1(x)
+    kept = []
+    for sigma in gens:
+        n = len(sigma)
+        for i in range(n):
+            if sigma[i] == i + 1:
+                continue
+            slot = (i, sigma[i])
+            t_inv = inverses.get(slot)
+            if t_inv is None:
+                inv = [0] * (n + 1)
+                for x, y in enumerate(sigma, 1):
+                    inv[y] = x
+                inverses[slot] = tuple(inv)
+                kept.append(sigma)
+                break
+            sigma = tuple(map(t_inv.__getitem__, sigma))
+    return kept
+
+
+@given(st.integers(min_value=1, max_value=10), st.data())
+@settings(max_examples=150, deadline=None)
+def test_sims_filter_on_bytes_keeps_what_the_tuple_filter_keeps(n, data):
+    perm = st.permutations(list(range(1, n + 1))).map(tuple)
+    gens = data.draw(st.lists(st.one_of(perm, st.just(identity_perm(n))), max_size=8))
+    # repeats, both of a generator and of one the filter has already kept
+    gens += data.draw(st.lists(st.sampled_from(gens), max_size=3)) if gens else []
+    inputs = [gens]
+    if n <= 6:
+        inputs.append(close_generators(GroundSet(n), gens).elements)
+    for given_gens in inputs:
+        assert _sims_filter(given_gens) == tuple_sims_filter(given_gens)
+
+
+def test_sims_filter_keeps_28_of_the_40320_elements_of_s8():
+    g = GroundSet(8)
+    levels = Partition.from_blocks(g, [[m for m in g.masks() if popcount(m) == k]
+                                       for k in range(9)])
+    elements = partition_stabilizer(levels).elements
+    kept = _sims_filter(elements)
+    assert len(kept) == 28
+    assert kept == tuple_sims_filter(elements)
+
+
 def test_group_file_elements_are_lazy():
     grp = parse_group_text("n 10\n(1,2)\n(1,2,3,4,5,6,7,8,9,10)\n")
     assert grp.generators == ((2, 1, 3, 4, 5, 6, 7, 8, 9, 10), (2, 3, 4, 5, 6, 7, 8, 9, 10, 1))
