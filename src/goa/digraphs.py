@@ -8,7 +8,7 @@ hypomorphy classes group equal multisets of vertex-deleted decks.
 """
 
 from goa.errors import InputError, VerificationFailure
-from goa.perms import close_generators, orbit_partition
+from goa.perms import PermGroup, orbit_partition
 from goa.subsets import GroundSet, downward_counts, unpack
 
 
@@ -46,8 +46,7 @@ class EdgeWorld:
 
         swap = (2, 1) + tuple(range(3, f + 1))
         rotate = tuple(range(2, f + 1)) + (1,)
-        group = close_generators(GroundSet(self.n), [lift(swap), lift(rotate)])
-        classes = orbit_partition(group)
+        classes = orbit_partition(PermGroup(GroundSet(self.n), (lift(swap), lift(rotate))))
         self.reps = [block[0] for block in classes.blocks]
         # canon[m]: the least edge mask isomorphic to m
         self.canon = [self.reps[b] for b in classes.block_of]

@@ -40,29 +40,30 @@ def enumerate_strongly_regular(g: GroundSet, budget_seconds=None):
     as a second block.
 
     After each placement, axiom 3 (every x in X holds the same number of
-    members of Y) is tested on each pair (X, Y) with Y a new block and X
-    a block of a layer above n - k.  That number depends only on X and Y,
-    so a failing pair prunes every completion.  Every other pair with a
-    new block holds already:
+    members of Y) is tested by a direct count on each pair (X, Y) with Y
+    the new size-k block and X a block above n - k.  That number depends
+    only on X and Y, so a failing pair prunes every completion.  Every
+    other pair with a new block holds already:
     - a member of Y lies inside x only if it is smaller than x or is x;
-    - for X new and Y of a layer below k, the count is part of the class
-      words at m and m ^ full;
-    - for X of size n - k and Y of size k, both of this layer, write
-      X = B^c.  The members of Y inside b^c (b in B) are those disjoint
-      from b, and by inclusion-exclusion their number is (-1)^k [b in Y]
-      plus, over each block S below k, (-1)^|S| times the number of s in
-      S inside b (a class word) times the number of members of Y^c
-      inside s^c (fixed by the tested pair (S^c, Y^c)).
+    - the members of Y^c inside x (X above n - k) are those of Y holding
+      x^c: by Moebius inversion, the sum over U inside x^c of (-1)^|U|
+      times the tested count of Y inside U^c, fixed by the word at x^c;
+    - for X new and Y below k, the count is a field of the class word at
+      m, which fixes the word at m ^ full: the members of S (below k)
+      disjoint from m number the sum over blocks B of (-1)^|B| times the
+      b in B inside m (a field) times the members of S holding each b;
+    - for X = B^c and Y of this layer, the members of Y inside b^c are by
+      inclusion-exclusion (-1)^k [b in Y] plus, over blocks S below k,
+      (-1)^|S| times the s in S inside b times the Y holding each s (above).
 
     A full layer gets one downward_counts table of all placed blocks,
     which groups the next layer into classes: two sets may share a block
-    only if their words (and their complements') agree.  The same table
-    cross-checks axiom 3 on the whole layer (VerificationFailure if it
-    fails), and each partition found is cross-checked by
-    verify_strongly_regular.  Supports n <= 6: n = 5 completes in about
-    0.1 s with 93 partitions and n = 6 in about 5 s with 955, both
-    under a default 300 s budget.  A budget, when given, must be a
-    positive number of seconds.
+    only if their words agree.  The same table cross-checks axiom 3 on
+    the whole layer (VerificationFailure if it fails), and each partition
+    found is cross-checked by verify_strongly_regular.  Supports n <= 6:
+    n = 5 completes in about 0.03 s with 93 partitions and n = 6 in
+    2-3 s with 955, both under a default 300 s budget.  A budget,
+    when given, must be a positive number of seconds.
     """
     n = g.n
     if n > 6:
@@ -83,7 +84,7 @@ def enumerate_strongly_regular(g: GroundSet, budget_seconds=None):
             return
         classes = {}
         for m in levels[k]:
-            classes.setdefault((table[m], table[m ^ full]), []).append(m)
+            classes.setdefault(table[m], []).append(m)
         order = [m for members in sorted(classes.values()) for m in members]
         class_of = {m: members for members in classes.values() for m in members}
         upper = [b for b in fixed if b[0].bit_count() > n - k]
@@ -103,8 +104,7 @@ def enumerate_strongly_regular(g: GroundSet, budget_seconds=None):
                     raise BudgetExceeded("strongly regular search")
                 comp = [m ^ full for m in members]
                 new = [members] if comp[0] in members else [members, comp]
-                words, _ = downward_counts(new, n)
-                if all(len({words[x] for x in xs}) == 1 for xs in upper):
+                if all(len({sum(y & x == y for y in members) for x in xs}) == 1 for xs in upper):
                     place(placed + new, unplaced.difference(members, comp))
 
         def blocks_from(head, rest):
@@ -129,7 +129,7 @@ def enumerate_strongly_regular(g: GroundSet, budget_seconds=None):
         place([], set(levels[k]))
 
     try:
-        layer(0, [], downward_counts([], n)[0])
+        layer(0, [], [0] * g.size)
         complete = True
     except BudgetExceeded:
         complete = False

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -169,22 +170,78 @@ def test_enumeration_at_six_holds_random_orbit_partitions():
 
 
 def test_enumeration_builds_one_table_per_full_layer(monkeypatch):
-    # axiom 3 is checked as each block is placed, on a table of the one or
-    # two new blocks; every table of more blocks is of a full layer past
-    # layer 0 and passes it: 145 at n = 5, against the 143 635 candidates
-    # the whole-layer search tables
+    # each placement is tested by direct counts, with no table; every
+    # downward_counts table covers whole layers 0..k and their complements,
+    # and passes axiom 3: 146 at n = 5 (145 past layer 0), against the
+    # 143 635 candidates the whole-layer search tables
     from goa import srp
-    layers = []
+    n = 5
+    depth = [min(popcount(m), n - popcount(m)) for m in range(1 << n)]
+    tables = []
 
     def recording(blocks, n):
         table, code = downward_counts(blocks, n)
-        if len(blocks) > 2:
-            layers.append(all(table[m] == table[b[0]] for b in blocks for m in b))
+        covered = sorted(m for b in blocks for m in b)
+        k = max((depth[m] for m in covered), default=-1)
+        whole = covered == [m for m in range(1 << n) if depth[m] <= k]
+        tables.append(whole and all(table[m] == table[b[0]] for b in blocks for m in b))
         return table, code
 
     monkeypatch.setattr(srp, "downward_counts", recording)
-    assert len(enumerate_strongly_regular(GroundSet(5))[0]) == 93
-    assert len(layers) == 145 and all(layers)
+    assert len(enumerate_strongly_regular(GroundSet(n))[0]) == 93
+    assert len(tables) == 146 and all(tables)
+
+
+def test_enumeration_pruning_is_pinned():
+    # the nested place and layer calls of the search, counted from outside:
+    # a search that prunes more weakly, or differently, makes other counts
+    from goa import srp
+    for n, pinned in ((4, {"place": 89, "layer": 39}), (5, {"place": 533, "layer": 147})):
+        calls = dict.fromkeys(pinned, 0)
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_filename == srp.__file__ and code.co_name in calls:
+                calls[code.co_name] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            parts, complete = enumerate_strongly_regular(GroundSet(n))
+        finally:
+            sys.setprofile(previous)
+        assert complete and calls == pinned
+
+
+def test_enumeration_layer_word_fixes_complement_word(monkeypatch):
+    # the search keys the classes of layer k on the word at m alone: on every
+    # layer table it makes, the word at m ^ full is a function of the word at m
+    from goa import srp
+    tables = []
+
+    def recording(blocks, n):
+        table, code = downward_counts(blocks, n)
+        tables.append((n, blocks, table))
+        return table, code
+
+    monkeypatch.setattr(srp, "downward_counts", recording)
+    for n in range(1, 6):
+        enumerate_strongly_regular(GroundSet(n))
+    checked = 0
+    for n, blocks, table in tables:
+        full = (1 << n) - 1
+        k = 1 + max(min(popcount(m), n - popcount(m)) for b in blocks for m in b)
+        if 2 * k > n:
+            continue    # the table of the last layer: no layer left to class
+        complement_word = {}
+        for m in enumerate_by_size(GroundSet(n), k):
+            if table[m] in complement_word:
+                assert complement_word[table[m]] == table[m ^ full]
+                checked += 1
+            complement_word[table[m]] = table[m ^ full]
+    # every layer table the search makes at n <= 5, and the sets of each
+    # whose word repeats one seen before in the same table
+    assert (len(tables), checked) == (194, 336)
 
 
 def test_enumeration_layer_cross_check_raises(monkeypatch):
