@@ -251,10 +251,12 @@ def coeff_matrix(p: Partition) -> CoeffMatrix:
     )
     # comp . ell . comp sends p_A to the sum of p_C over supersets C of A;
     # on the block basis its column i must read off column i of the counts.
-    for i, block in enumerate(p.blocks):
+    # zip(*rows) yields the columns in block order, one at a time, so no
+    # s x s transpose is held.
+    for i, (block, counts) in enumerate(zip(p.blocks, zip(*m.entries))):
         image = complementation(ell_power(1, complementation(Poly.block_sum(p.g, block))))
         column, bad = p.block_values(image.coeffs)
-        if bad is not None or column != [row[i] for row in m.entries]:
+        if bad is not None or column != list(counts):
             raise VerificationFailure(
                 f"coefficient matrix disagrees with comp.ell.comp on block {i}")
     return m

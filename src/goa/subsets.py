@@ -12,22 +12,27 @@ all run through it.  Reversing a vector indexed by masks moves entry x to
 full - x, the complement of x: reversal is complementation, and it turns
 superset sums into subset sums.
 
-subset_sum has two routes with the same results.  When every entry and
-the weight are ints and the bound max|c| * (1+|w|)^n on every value the
-transform forms is below 2^63, the vector is packed into one Python int,
-one signed 1-, 2-, 4- or 8-byte field per entry, and each of the n passes
-is a few big-int operations over all fields at once.  Fraction entries
-and larger bounds take the list loop, which is also the packed route's
-test oracle.  downward_counts calls the list loop directly: its entries
-are multi-field words, wide by construction.
+subset_sum has three routes with the same results.  When the weight is an
+int w >= 1 and every entry is an int in 0..255 (bytes(c) succeeds), the
+vector is packed into one Python int of unsigned 1-, 2-, 4- or 8-byte
+fields, sized by min(sum(c) * w^n, max(c) * (1+w)^n).  Block indicators
+qualify, so every ell_power of the coefficient-matrix cross-check takes
+this route, and so does each P -> EPS change of a closure image whose
+coefficients stay at most 255.  Other int vectors and int weights
+(negative entries, entries above 255, w <= 0) whose bound
+max|c| * (1+|w|)^n is below 2^63 take signed fields of the same widths,
+each entry offset by a bias.  Each of the n passes of a packed route is a
+few big-int operations over all fields at once.  Fraction entries and
+larger bounds take the list loop, which is also the packed routes' test
+oracle.  downward_counts calls the list loop directly: its entries are
+multi-field words, wide by construction.
 
-The field width is chosen without a Python-level scan when the entries
-fit one signed byte, as block indicators and most transform inputs do:
-the vector is packed once into 1-byte fields, bytes.translate deletes
-every byte whose |entry| a width holds, and the narrowest width that
-leaves nothing is taken; the 1-byte fields are then widened to it by
-strided slice assignment.  Only a vector with an entry outside -128..127
-(or a non-int entry) is scanned by max and min.
+The signed width is chosen without a Python-level scan when the entries
+fit one signed byte: the vector is packed once into 1-byte fields,
+bytes.translate deletes every byte whose |entry| a width holds, and the
+narrowest width that leaves nothing is taken.  Either route widens its
+1-byte fields by strided slice assignment.  Only a vector with an entry
+outside -128..127 (or a non-int entry) is scanned by max and min.
 """
 
 import re
@@ -43,6 +48,8 @@ MAX_N_VECTOR = 20   # 2^n coefficient vectors stay practical up to here
 # signed struct codes of the packed subset_sum fields (1, 2, 4 and 8 bytes),
 # narrowest first, each with 2^(bits-1): a bound must lie below it to fit
 _FIELDS = tuple((code, 1 << 8 * calcsize("<" + code) - 1) for code in "bhiq")
+# the unsigned codes of the same widths, each with 2^bits
+_UNSIGNED_FIELDS = tuple((code, 1 << 8 * calcsize("<" + code)) for code in "BHIQ")
 
 
 class GroundSet:
@@ -134,24 +141,44 @@ def subset_sum(c, n: int, w):
     """Entry x of the result is the sum over submasks y of x of
     w^(|x|-|y|) * c[y], for a sequence c of length 2^n; returns a new list.
 
-    w = 1 is the zeta transform and w = -1 its Moebius inverse.  Every
-    result and every intermediate value is at most max|c| * (1+|w|)^n in
-    absolute value.  When c holds only ints, w is an int and that bound
-    fits a signed 8-byte field, the packed route runs (_packed_sum, in the
-    narrowest of 1, 2, 4, 8 bytes whose signed range holds the bound);
-    otherwise the list loop runs (_list_sum).  Both give exact ints for
-    int input, and c is never modified.
+    w = 1 is the zeta transform and w = -1 its Moebius inverse.  Three
+    routes give the same exact results, and c is never modified:
 
-    The width test is "every |entry| <= (limit - 1) // (1+|w|)^n", the
-    same as "bound < limit".  If c packs into 1-byte fields, it is run
-    on the packed bytes by bytes.translate (_byte_code) and the fields are
-    widened in place of a second pack; otherwise max(c) and min(c) give
-    the bound.
+    - unsigned packed: w is an int >= 1 and every entry an int in 0..255.
+      Every result and every intermediate value is at most
+      bound = min(sum(c) * w^n, max(c) * (1+w)^n), and the fields are the
+      narrowest of 1, 2, 4, 8 bytes with bound < 2^bits (_packed_sum with
+      code "B", "H", "I" or "Q"); a larger bound takes the list loop.  For
+      w = 1 the sum term is always the smaller.
+    - signed packed: any other int entries with an int w, when
+      max|c| * (1+|w|)^n, a bound on every value, fits a signed 8-byte
+      field; the fields are the narrowest of 1, 2, 4, 8 bytes whose signed
+      range holds it (code "b", "h", "i" or "q").
+    - list loop (_list_sum): Fraction entries and larger bounds.
+
+    The signed width test is "every |entry| <= (limit - 1) // (1+|w|)^n",
+    the same as "bound < limit".  If c packs into signed 1-byte fields, it
+    is run on the packed bytes by bytes.translate (_byte_code); otherwise
+    max(c) and min(c) give the bound.  Either packed route widens 1-byte
+    fields in place of a second pack.
     """
     count = len(c)
     if count != 1 << n:
         raise InputError(f"a vector over {n} points has {1 << n} entries, got {count}")
     if isinstance(w, int):
+        if w >= 1:
+            try:
+                data = bytes(c)
+            except (TypeError, ValueError):   # a non-int entry, or one outside 0..255
+                pass
+            else:
+                bound = sum(data) * w ** n
+                if w > 1:
+                    bound = min(bound, max(data) * (1 + w) ** n)
+                code = next((t for t, limit in _UNSIGNED_FIELDS if bound < limit), None)
+                if code is None:
+                    return _list_sum(c, n, w)
+                return _packed_sum(_widen(data, code), code, n, w)
         try:
             data = pack(f"<{count}b", *c)
         except StructError:   # a Fraction entry, or one outside -128..127
@@ -185,17 +212,19 @@ def _byte_code(data: bytes, growth: int):
 
 
 def _widen(data: bytes, code: str):
-    """The 1-byte signed fields of data widened to the fields of struct
-    code `code`: each byte becomes the low byte of its field, and every
-    higher byte is its sign byte (0xff for a negative entry, else 0)."""
+    """The 1-byte fields of data widened to the fields of struct code
+    `code`: each byte becomes the low byte of its field.  Every higher
+    byte is 0 for an unsigned code, and the sign byte (0xff for a negative
+    entry, else 0) for a signed one."""
     size = calcsize("<" + code)
     if size == 1:
         return data
     out = bytearray(len(data) * size)
     out[::size] = data
-    sign = data.translate(bytes(128) + b"\xff" * 128)
-    for j in range(1, size):
-        out[j::size] = sign
+    if code.islower():
+        sign = data.translate(bytes(128) + b"\xff" * 128)
+        for j in range(1, size):
+            out[j::size] = sign
     return out
 
 
@@ -211,22 +240,36 @@ def _list_sum(c, n: int, w):
 
 
 def _packed_sum(data, code: str, n: int, w):
-    """subset_sum of the 2^n little-endian signed fields of struct code
-    `code` in data, whose bound fits a field.
+    """subset_sum of the 2^n little-endian fields of struct code `code` in
+    data, whose bound fits a field.  Pass k adds w times each field whose
+    index has bit k clear to the field 2^k above it; no field ever carries
+    into the next.  The struct formats name the byte order, so the layout
+    is the same on every host.
 
-    Field i of one int x holds entry i plus 2^(bits-1) (the bias), so every
-    field is nonnegative and x is their exact base-2^bits expansion.  Pass k
-    adds w times each field whose index has bit k clear to the field 2^k
-    above it; removing the bias first lets one formula serve any integer w
-    and signed entries, and the bound keeps every field in its range, so no
-    field ever carries into the next.  The struct formats name the byte
-    order, so the layout is the same on every host.
+    Unsigned code (w >= 1, entries >= 0): one int x holds the fields as
+    its exact base-2^bits expansion, and each pass is
+    x += w * (x & low) << (bits << k).  Every value a field takes is a
+    partial sum of the nonnegative terms w^(|x|-|y|) * c[y] of its final
+    value, so it is at most that value, which is at most both sum(c) * w^n
+    and max(c) * (1+w)^n: the bound subset_sum sized the field by.
+
+    Signed code: field i holds entry i plus 2^(bits-1) (the bias), so every
+    field is nonnegative and x is again their exact expansion.  Removing
+    the bias before each add lets one formula serve any integer w and
+    signed entries, and max|c| * (1+|w|)^n bounds every value.
     """
     size = calcsize("<" + code)
     bits = 8 * size
     count = 1 << n
     bias, masks = _pass_masks(n, size)
-    x = int.from_bytes(data, "little") ^ bias
+    x = int.from_bytes(data, "little")
+    if code.isupper():
+        for k, low in enumerate(masks):
+            d = x & low
+            x += (d if w == 1 else w * d) << (bits << k)
+        out = x.to_bytes(count * size, "little")
+        return list(out) if size == 1 else list(unpack_from(f"<{count}{code}", out))
+    x ^= bias
     for k, low in enumerate(masks):
         d = (x & low) - (bias & low)
         x += (d if w == 1 else w * d) << (bits << k)
@@ -237,7 +280,9 @@ def _packed_sum(data, code: str, n: int, w):
 def _pass_masks(n: int, size: int):
     """(bias, masks): the bias int, 2^(bits-1) in every size-byte field
     of 2^n, and for each pass k < n the int whose fields are all ones
-    where the field index has bit k clear, and zero elsewhere.
+    where the field index has bit k clear, and zero elsewhere.  Keyed on
+    the field size alone, so the signed and unsigned fields of one width
+    share a set; only the signed route reads the bias.
 
     Only the last (n, size) set is kept: (n + 1) * 2^n * size bytes, about
     2 MB at n = 16 with 2-byte fields and 84 MB at n = 20 with 4-byte

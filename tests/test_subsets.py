@@ -128,6 +128,8 @@ PACKED_WEIGHTS = (-3, -2, -1, 1, 2, 3)
 # the signed range of each field width, with the field codes of a bound just
 # inside it and of a bound that reaches it (None: the list loop)
 FIELD_LIMITS = [(1 << 7, "b", "h"), (1 << 15, "h", "i"), (1 << 31, "i", "q"), (1 << 63, "q", None)]
+# the unsigned fields of the same widths, each with 2^bits
+UNSIGNED_LIMITS = [("B", 1 << 8), ("H", 1 << 16), ("I", 1 << 32), ("Q", 1 << 64)]
 
 
 def direct_sum(c, n, w):
@@ -187,8 +189,26 @@ def test_packed_route_matches_the_list_loop_and_a_direct_sum(nwc):
         assert out == direct_sum(c, n, w)
 
 
+def takes_unsigned(c, w):
+    """Does subset_sum take the unsigned route: w >= 1 and every entry an
+    int in 0..255?"""
+    return w >= 1 and all(isinstance(v, int) and 0 <= v <= 255 for v in c)
+
+
+def reference_code(c, n, w):
+    """The field code subset_sum must take: for the unsigned route, from
+    min(sum(c) * w^n, max(c) * (1+w)^n); otherwise from max|c| * (1+|w|)^n."""
+    if takes_unsigned(c, w):
+        bound = min(sum(c) * w ** n, max(c) * (1 + w) ** n)
+        return next((code for code, limit in UNSIGNED_LIMITS if bound < limit), None)
+    bound = max(abs(v) for v in c) * (1 + abs(w)) ** n
+    return next((code for code, limit in subsets._FIELDS if bound < limit), None)
+
+
 @pytest.mark.parametrize("limit, inside, past", FIELD_LIMITS)
 def test_field_width_at_and_one_past_each_boundary(monkeypatch, limit, inside, past):
+    # the signed rule holds for the negated vectors and for w <= -1; a
+    # nonnegative vector of entries up to 255 with w >= 1 is unsigned
     taken = spy_routes(monkeypatch)
     for n in range(9):
         for w in PACKED_WEIGHTS:
@@ -201,21 +221,80 @@ def test_field_width_at_and_one_past_each_boundary(monkeypatch, limit, inside, p
                 for c in (attaining(entries, n, w), [-v for v in attaining(entries, n, w)]):
                     del taken[:]
                     out = subset_sum(c, n, w)
-                    assert taken == [code], (n, w, entries)
+                    if takes_unsigned(c, w):
+                        assert taken == [reference_code(c, n, w)], (n, w, entries)
+                    else:
+                        assert taken == [code], (n, w, entries)
                     assert out == _list_sum(c, n, w)
                     assert all(type(v) is int for v in out)
                     assert abs(out[-1]) == entries * (1 + abs(w)) ** n
 
 
-def reference_code(c, n, w):
-    """The field code subset_sum must take, from max|c| * (1+|w|)^n."""
-    bound = max(abs(v) for v in c) * (1 + abs(w)) ** n
-    return next((code for code, limit in subsets._FIELDS if bound < limit), None)
+def spike(m, n):
+    """m at the empty set and 0 elsewhere: with w >= 1, entry x of the
+    transform is m * w^|x|, so the full mask attains sum(c) * w^n."""
+    return [m] + [0] * ((1 << n) - 1)
+
+
+# (c, n, w, code): sum(c) * w^n at 2^bits - 1, then at 2^bits, for each
+# unsigned width, and at 2^64, past the widest (None: the list loop)
+UNSIGNED_BOUNDARIES = [
+    ([1] * 255 + [0], 8, 1, "B"), ([1] * 256, 8, 1, "H"),
+    (spike(85, 1), 1, 3, "B"), (spike(128, 1), 1, 2, "H"),
+    ([255] * 257 + [0] * 255, 9, 1, "H"), ([255] * 257 + [1] + [0] * 254, 9, 1, "I"),
+    (spike(255, 1), 1, 257, "H"), (spike(4, 7), 7, 4, "I"),
+    (spike(255, 1), 1, ((1 << 32) - 1) // 255, "I"), (spike(16, 7), 7, 16, "Q"),
+    (spike(255, 1), 1, ((1 << 64) - 1) // 255, "Q"), (spike(1, 8), 8, 256, None),
+]
+
+
+@pytest.mark.parametrize("c, n, w, code", UNSIGNED_BOUNDARIES)
+def test_unsigned_width_at_and_one_past_each_boundary(monkeypatch, c, n, w, code):
+    taken = spy_routes(monkeypatch)
+    out = subset_sum(c, n, w)
+    assert taken == [code] and code == reference_code(c, n, w)
+    assert out[-1] == sum(c) * w ** n
+    assert out == _list_sum(c, n, w)
+    assert all(type(v) is int for v in out)
+    if n <= 6:
+        assert out == direct_sum(c, n, w)
+
+
+@st.composite
+def unsigned_cases(draw):
+    """(n, w, c): entries in 0..255, as random bytes, sparse 0/1, bools or
+    0/255, with a few entries set to 0, 1, 255 or 256 (256 leaves the
+    unsigned route), as a list or a tuple."""
+    n = draw(st.integers(min_value=0, max_value=10))
+    w = draw(st.sampled_from([1, 2, 3]))
+    rng = draw(st.randoms(use_true_random=False))
+    fill = draw(st.sampled_from([
+        lambda: rng.randrange(256),
+        lambda: int(rng.random() < 0.05),
+        lambda: rng.random() < 0.5,
+        lambda: rng.choice((0, 255)),
+    ]))
+    c = [fill() for _ in range(1 << n)]
+    for _ in range(draw(st.integers(0, 3))):
+        c[draw(st.integers(0, (1 << n) - 1))] = draw(st.sampled_from([0, 1, 255, 256]))
+    return n, w, tuple(c) if draw(st.booleans()) else c
+
+
+@given(unsigned_cases())
+@settings(deadline=None)
+def test_unsigned_route_matches_the_list_loop(nwc):
+    n, w, c = nwc
+    before = list(c)
+    out = subset_sum(c, n, w)
+    assert list(c) == before
+    assert out == _list_sum(before, n, w)
+    assert all(type(v) is int for v in out)
 
 
 def test_byte_route_picks_the_width_of_the_direct_bound(monkeypatch):
-    # vectors that pack into 1-byte fields choose their width by translate;
-    # -128 and 127 are the ends of that range, 128 takes the max/min route
+    # vectors that pack into signed 1-byte fields choose their width by
+    # translate; -128 and 127 are the ends of that range, 128 takes the
+    # max/min route unless the unsigned rule applies
     taken = spy_routes(monkeypatch)
     rng = random.Random(16)
     cases = []
@@ -233,6 +312,7 @@ def test_byte_route_picks_the_width_of_the_direct_bound(monkeypatch):
         cases.append(([True, False] * (size // 2) or [True], n, 1))
         cases.append(([-128] + [127] * (size - 1), n, -1))
         cases.append(([0] * (size - 1) + [128], n, 2))
+        cases.append(([0] * (size - 1) + [256], n, 2))
     for c, n, w in cases:
         del taken[:]
         out = subset_sum(c, n, w)
