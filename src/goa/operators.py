@@ -13,7 +13,7 @@ from math import factorial
 
 from goa.errors import InputError
 from goa.poly import P, Poly
-from goa.subsets import GroundSet, enumerate_by_size, popcount, subset_sum
+from goa.subsets import GroundSet, _subset_sum, enumerate_by_size, popcount
 
 
 def _require_p_basis(p: Poly):
@@ -27,7 +27,7 @@ def derivation(p: Poly) -> Poly:
     images of the A minus i."""
     _require_p_basis(p)
     out = [0] * p.g.size
-    for a, c in enumerate(p.coeffs):
+    for a, c in enumerate(p.vector):
         if c == 0:
             continue
         m = a
@@ -40,10 +40,11 @@ def derivation(p: Poly) -> Poly:
 
 def complementation(p: Poly) -> Poly:
     """p_A -> p_{complement of A}; an involution.  The complement of a
-    mask is full - mask, so this reverses the coefficient vector.
-    S_n-equivariant: the complement of sigma A is sigma of the complement."""
+    mask is full - mask, so this reverses the coefficient vector (a packed
+    Poly's bytes, else its tuple).  S_n-equivariant: the complement of
+    sigma A is sigma of the complement."""
     _require_p_basis(p)
-    return Poly(p.g, P, p.coeffs[::-1])
+    return Poly(p.g, P, p.vector[::-1])
 
 
 def ell_power(m: int, p: Poly) -> Poly:
@@ -53,7 +54,8 @@ def ell_power(m: int, p: Poly) -> Poly:
 
     Coefficient B of the image is a weighted sum over the supersets of
     B.  Reversing the vector (complementation) turns superset sums into
-    subset sums, so this is subset_sum with w = m between two reversals.
+    subset sums, so this is subset_sum with w = m between two reversals;
+    a packed image stays bytes through both (subsets._subset_sum).
     The series form is kept as a tested identity (see ell_power_series).
     m must be a nonzero integer.  S_n-equivariant: the subsets of sigma A
     are the images of the subsets of A, with the same sizes.
@@ -61,7 +63,7 @@ def ell_power(m: int, p: Poly) -> Poly:
     if m == 0:
         raise InputError("ell_power requires a nonzero integer power")
     _require_p_basis(p)
-    return Poly(p.g, P, subset_sum(p.coeffs[::-1], p.g.n, m)[::-1])
+    return Poly(p.g, P, _subset_sum(p.vector[::-1], p.g.n, m)[::-1])
 
 
 def ell_power_series(m: int, p: Poly) -> Poly:
@@ -144,7 +146,7 @@ def e_klr(g: GroundSet, k: int, l: int, r: int) -> LinearOperator:
     def apply(p: Poly, _k=k, _l=l, _r=r, _lev=level_l) -> Poly:
         _require_p_basis(p)
         out = [0] * p.g.size
-        for a, c in enumerate(p.coeffs):
+        for a, c in enumerate(p.vector):
             if c == 0 or popcount(a) != _k:
                 continue
             for b in _lev:

@@ -7,28 +7,49 @@ tagged with its basis:
   EPS basis  eps_A, the idempotent indicators: eps_A(B) = 1 iff A = B
 
 Coefficients are Python ints or Fractions; the two mix exactly.
+
+A Poly built from a bytes object is packed: it keeps those bytes (every
+coefficient an int in 0..255) and builds its coeffs tuple only when
+something reads it, so ==, hash, coeffs and terms behave as for the
+tuple.  Poly.vector is the stored form, the bytes or the coeffs tuple.
+Block sums, P-basis products of packed Polys whose coefficients stay in
+0..255, complementation, ell_power and to_basis (see goa.operators and
+subsets._subset_sum) produce and consume the bytes with no 2^n-entry
+tuple or list in between, and the closure test and the coefficient-matrix
+cross-check hand them to Partition.block_values as they are.
 """
 
 from goa.errors import InputError
-from goa.subsets import GroundSet, format_subset, popcount, submasks, subset_sum
+from goa.subsets import GroundSet, _subset_sum, format_subset, popcount, submasks
 
 P = "P"
 EPS = "EPS"
 
 
 class Poly:
-    __slots__ = ("g", "basis", "coeffs", "_terms")
+    __slots__ = ("g", "basis", "coeffs", "vector", "_terms")
 
     def __init__(self, g: GroundSet, basis: str, coeffs):
         if basis not in (P, EPS):
             raise InputError(f"unknown basis {basis!r}")
-        coeffs = tuple(coeffs)
+        if type(coeffs) is not bytes:
+            coeffs = tuple(coeffs)
+            object.__setattr__(self, "coeffs", coeffs)
         if len(coeffs) != g.size:
             raise InputError(f"coefficient vector must have {g.size} entries, got {len(coeffs)}")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "vector", coeffs)
         object.__setattr__(self, "_terms", None)
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: the coeffs of a packed Poly, built
+        # from its bytes on first read and kept
+        if name != "coeffs":
+            raise AttributeError(name)
+        coeffs = tuple(self.vector)
+        object.__setattr__(self, "coeffs", coeffs)
+        return coeffs
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -51,11 +72,20 @@ class Poly:
 
     @staticmethod
     def block_sum(g, masks, basis=P):
-        """Sum of basis vectors over an iterable of masks."""
-        c = [0] * g.size
+        """Sum of basis vectors over an iterable of masks; packed unless
+        some mask is counted more than 255 times."""
+        c = bytearray(g.size)
+        masks = iter(masks)
         for m in masks:
-            c[m] += 1
-        return Poly(g, basis, c)
+            try:
+                c[m] += 1
+            except ValueError:   # a 256th count of m: go on in a list
+                c = list(c)
+                c[m] += 1
+                for m in masks:
+                    c[m] += 1
+                return Poly(g, basis, c)
+        return Poly(g, basis, bytes(c))
 
     # -- linear structure ----------------------------------------------
 
@@ -80,22 +110,25 @@ class Poly:
         return Poly(self.g, self.basis, [c * a for a in self.coeffs])
 
     def __eq__(self, other):
-        return (isinstance(other, Poly) and self.g == other.g
-                and self.basis == other.basis and self.coeffs == other.coeffs)
+        if not (isinstance(other, Poly) and self.g == other.g and self.basis == other.basis):
+            return False
+        if type(self.vector) is type(other.vector):
+            return self.vector == other.vector
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         # an int and the equal Fraction hash alike, so this agrees with ==
         return hash((self.g, self.basis, self.coeffs))
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return not any(self.vector)
 
     def terms(self):
         """Nonzero (mask, coeff) pairs, ascending mask, as a tuple.  A Poly
         is immutable, so the scan runs once and later calls reuse it."""
         if self._terms is None:
             object.__setattr__(self, "_terms",
-                               tuple((m, c) for m, c in enumerate(self.coeffs) if c != 0))
+                               tuple((m, c) for m, c in enumerate(self.vector) if c != 0))
         return self._terms
 
     # -- algebra --------------------------------------------------------
@@ -107,16 +140,21 @@ class Poly:
         EPS basis: coefficient-wise, since the eps_A are orthogonal idempotents.
         S_n-equivariant in each basis: with sigma . p_A = p_{sigma A},
         sigma(x * y) = (sigma x) * (sigma y), as sigma(A | B) = sigma A | sigma B.
+
+        Two packed P-basis factors multiply into a bytearray, and their
+        product is packed; if a coefficient passes 255, the list loop
+        starts over.
         """
         self._check_compatible(other)
         if self.basis == EPS:
             return Poly(self.g, EPS, [a * b for a, b in zip(self.coeffs, other.coeffs)])
-        out = [0] * self.g.size
-        right = other.terms()
-        for a, ca in self.terms():
-            for b, cb in right:
-                out[a | b] += ca * cb
-        return Poly(self.g, P, out)
+        left, right = self.terms(), other.terms()
+        if type(self.vector) is bytes and type(other.vector) is bytes:
+            try:
+                return Poly(self.g, P, bytes(_union_products(bytearray(self.g.size), left, right)))
+            except ValueError:   # a coefficient past 255
+                pass
+        return Poly(self.g, P, _union_products([0] * self.g.size, left, right))
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -126,8 +164,8 @@ class Poly:
         if not 0 <= b < self.g.size:
             raise InputError(f"mask {b} out of range")
         if self.basis == EPS:
-            return self.coeffs[b]
-        return sum(self.coeffs[a] for a in submasks(b))
+            return self.vector[b]
+        return sum(self.vector[a] for a in submasks(b))
 
     def to_basis(self, target: str):
         """Exact basis change; round trips are the identity.
@@ -136,17 +174,27 @@ class Poly:
         the sum of eps_B over B containing A, so eps-coefficient B is the
         sum of the p-coefficients of the subsets of B): subset_sum with
         w = 1.  EPS -> P is its Moebius inverse, subset_sum with w = -1.
-        Both run in O(n 2^n).
+        Both run in O(n 2^n).  The result is packed when subset_sum's
+        unsigned route holds it in 1-byte fields.
         """
         if target not in (P, EPS):
             raise InputError(f"unknown basis {target!r}")
         if target == self.basis:
             return self
         w = 1 if target == EPS else -1
-        return Poly(self.g, target, subset_sum(self.coeffs, self.g.n, w))
+        return Poly(self.g, target, _subset_sum(self.vector, self.g.n, w))
 
     def __repr__(self):
         return f"Poly({self.g.n}, {self.basis}, {dict(self.terms())})"
+
+
+def _union_products(out, left, right):
+    """Add ca * cb to out[a | b] for each (a, ca) in left and (b, cb) in
+    right; returns out."""
+    for a, ca in left:
+        for b, cb in right:
+            out[a | b] += ca * cb
+    return out
 
 
 def from_function(g: GroundSet, f) -> Poly:

@@ -27,6 +27,11 @@ larger bounds take the list loop, which is also the packed routes' test
 oracle.  downward_counts calls the list loop directly: its entries are
 multi-field words, wide by construction.
 
+subset_sum always returns a list.  Its private core _subset_sum returns
+the bytes of a result that the unsigned route holds in 1-byte fields,
+with no list built: goa.poly keeps such a vector packed as bytes, and
+feeds those bytes to the next transform, which packs them as they are.
+
 The signed width is chosen without a Python-level scan when the entries
 fit one signed byte: the vector is packed once into 1-byte fields,
 bytes.translate deletes every byte whose |entry| a width holds, and the
@@ -162,6 +167,18 @@ def subset_sum(c, n: int, w):
     max(c) and min(c) give the bound.  Either packed route widens 1-byte
     fields in place of a second pack.
     """
+    out = _subset_sum(c, n, w)
+    return list(out) if type(out) is bytes else out
+
+
+def _subset_sum(c, n: int, w):
+    """subset_sum, except that a result of the unsigned 1-byte route is
+    returned as the bytes it was read from, not as a list.  goa.poly keeps
+    such a vector packed (a Poly built from bytes) and hands the bytes
+    straight back to the next transform; bytes(c) of a bytes c is c itself.
+
+    The unsigned bound's sum(c) is taken over the nonzero bytes alone
+    (translate deletes the zeros), which a block indicator has few of."""
     count = len(c)
     if count != 1 << n:
         raise InputError(f"a vector over {n} points has {1 << n} entries, got {count}")
@@ -172,7 +189,7 @@ def subset_sum(c, n: int, w):
             except (TypeError, ValueError):   # a non-int entry, or one outside 0..255
                 pass
             else:
-                bound = sum(data) * w ** n
+                bound = sum(data.translate(None, b"\0")) * w ** n
                 if w > 1:
                     bound = min(bound, max(data) * (1 + w) ** n)
                 code = next((t for t, limit in _UNSIGNED_FIELDS if bound < limit), None)
@@ -244,7 +261,8 @@ def _packed_sum(data, code: str, n: int, w):
     data, whose bound fits a field.  Pass k adds w times each field whose
     index has bit k clear to the field 2^k above it; no field ever carries
     into the next.  The struct formats name the byte order, so the layout
-    is the same on every host.
+    is the same on every host.  Returns a list of ints, except for code
+    "B": then the result's bytes themselves (see _subset_sum).
 
     Unsigned code (w >= 1, entries >= 0): one int x holds the fields as
     its exact base-2^bits expansion, and each pass is
@@ -268,7 +286,7 @@ def _packed_sum(data, code: str, n: int, w):
             d = x & low
             x += (d if w == 1 else w * d) << (bits << k)
         out = x.to_bytes(count * size, "little")
-        return list(out) if size == 1 else list(unpack_from(f"<{count}{code}", out))
+        return out if size == 1 else list(unpack_from(f"<{count}{code}", out))
     x ^= bias
     for k, low in enumerate(masks):
         d = (x & low) - (bias & low)

@@ -402,6 +402,35 @@ def test_verify_closure_budget_exits_3_and_a_nonpositive_one_exits_2(tmp_path, c
     assert "--closure" in err
 
 
+# `verify --closure` on the n = 9 tight orbit partition with its first two
+# size-2 blocks merged, pinned whole: the first failing image is found on an
+# idempotent-basis vector kept as bytes
+MERGED_TIGHT_CLOSURE_REPORT = """\
+axiom-1 size-homogeneous: True
+axiom-2 complement-closed: False
+axiom-3 constant-counts: False
+witness: axiom-2 6
+closed-under-derivation-complementation-multiplication: False
+first failure: derivation 6 6
+witness polynomial:
+  basis P
+  3 * 1
+  3 * 2
+  2 * 3
+  2 * 4
+"""
+
+
+def test_verify_closure_report_of_a_non_closed_partition_is_pinned(tmp_path, capsys):
+    from goa.partition import merge_blocks
+    tight = orbit_partition(lovasz_tight_instance(4, pad=1)[0])
+    i, j = [k for k in range(len(tight)) if tight.member_size(k) == 2][:2]
+    f = tmp_path / "merged.txt"
+    f.write_text(format_partition(merge_blocks(tight, i, j)) + "\n")
+    code, out, err = run(capsys, "verify", "--closure", "--partition", str(f))
+    assert (code, out, err) == (1, MERGED_TIGHT_CLOSURE_REPORT, "")
+
+
 def test_negative_seed_and_decimal_budget_stay_valid(capsys):
     assert run(capsys, "--seed", "-5", "identities", "--n", "1")[0] == 0
     assert run(capsys, "enumerate-srp", "--n", "1", "--budget", "30.5")[0] == 0

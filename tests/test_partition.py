@@ -80,6 +80,68 @@ def test_block_values_edge_cases(g3):
     assert levels.block_values([0, 1, 1, 2, 2, 2, 2, 3])[1] == 1   # mask 4 = {3} holds 2
 
 
+@st.composite
+def byte_vectors(draw):
+    """(partition, entries in 0..255): up to 256 blocks at n <= 8, or 257 to
+    1024 blocks at n = 9, 10 (the grouped translate route); the entries are
+    constant on every block, constant everywhere, or either with a few
+    entries changed."""
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 8))
+        s = draw(st.integers(1, min(256, 1 << n)))
+    else:
+        n = draw(st.integers(9, 10))
+        s = draw(st.integers(257, 1 << n))
+    labels = list(range(s)) + [rng.randrange(s) for _ in range((1 << n) - s)]
+    rng.shuffle(labels)
+    blocks = {}
+    for m, label in enumerate(labels):
+        blocks.setdefault(label, []).append(m)
+    part = Partition.from_blocks(GroundSet(n), list(blocks.values()))
+    top = draw(st.sampled_from([0, 1, 255]))
+    values = [rng.randint(0, top) for _ in range(s)]
+    vec = [values[b] for b in part.block_of]
+    for _ in range(draw(st.integers(0, 3))):
+        vec[rng.randrange(1 << n)] = rng.randint(0, 255)
+    return part, vec
+
+
+@given(byte_vectors())
+@settings(max_examples=120, deadline=None)
+def test_block_values_on_bytes_match_the_tuple_route(part_vec):
+    part, vec = part_vec
+    expected = brute_force_block_values(part, vec)
+    assert part.block_values(tuple(vec)) == expected
+    assert part.block_values(bytes(vec)) == expected
+    low, groups = part._byte_spread            # the translate route ran
+    assert len(groups) == (0 if len(part) <= 256 else (len(part) + 255) // 256)
+    values = [vec[b[0]] for b in part.blocks]
+    assert part._spread_bytes(values) == bytes(values[b] for b in part.block_of)
+    # one entry changed at each end of the vector
+    for m in (0, len(vec) - 1):
+        changed = vec[:m] + [vec[m] ^ 1] + vec[m + 1:]
+        assert part.block_values(bytes(changed)) == brute_force_block_values(part, changed)
+
+
+def test_block_values_past_the_translate_cap_take_the_itemgetter(monkeypatch):
+    from goa import partition
+    monkeypatch.setattr(partition, "BYTE_SPREAD_MAX_BLOCKS", 256)
+    rng = random.Random(22)
+    g = GroundSet(9)
+    masks = list(g.masks())
+    rng.shuffle(masks)
+    part = Partition.from_blocks(g, [masks[i::300] for i in range(300)])
+    values = [rng.randrange(256) for _ in range(300)]
+    vec = [values[b] for b in part.block_of]
+    assert part.block_values(bytes(vec)) == (values, None)
+    i = next(i for i, block in enumerate(part.blocks) if len(block) > 1)
+    vec[part.blocks[i][1]] ^= 1
+    assert part.block_values(bytes(vec)) == brute_force_block_values(part, vec)
+    assert part.block_values(bytes(vec))[1] == i
+    assert part._byte_spread is None
+
+
 # -- axioms ----------------------------------------------------------------
 
 def test_example_is_strongly_regular(example_partition):

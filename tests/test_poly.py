@@ -140,3 +140,113 @@ def test_term_order_by_size_then_mask(g3):
     lines = format_poly(q).splitlines()[1:]
     assert lines == ["1 * 1", "1 * 3", "1 * 1 2"]
     assert all(popcount(mask_of([1])) <= 3 for _ in lines)
+
+
+# -- packed coefficient vectors -----------------------------------------------
+
+@st.composite
+def byte_entries(draw, n=None):
+    """2^n entries in 0..255: random bytes, sparse 0/1 (block sums), 0/255
+    or 0..2, at n <= 7 unless given."""
+    n = draw(st.integers(1, 7)) if n is None else n
+    rng = draw(st.randoms(use_true_random=False))
+    fill = draw(st.sampled_from([
+        lambda: rng.randrange(256),
+        lambda: int(rng.random() < 0.2),
+        lambda: rng.choice((0, 255)),
+        lambda: rng.randrange(3),
+    ]))
+    return n, [fill() for _ in range(1 << n)]
+
+
+def packed_and_plain(n, c, basis=P):
+    """The Poly of entries c built from bytes (packed) and from a tuple."""
+    g = GroundSet(n)
+    packed, plain = Poly(g, basis, bytes(c)), Poly(g, basis, tuple(c))
+    assert type(packed.vector) is bytes and type(plain.vector) is tuple
+    return packed, plain
+
+
+def same_poly(a, b):
+    """a == b, and every reading of the coefficients agrees."""
+    return a == b and b == a and hash(a) == hash(b) and a.coeffs == b.coeffs \
+        and a.terms() == b.terms() and list(a.vector) == list(b.vector)
+
+
+@given(byte_entries(), st.sampled_from([P, EPS]))
+@settings(max_examples=60, deadline=None)
+def test_packed_and_tuple_polys_with_equal_entries_are_equal(nc, basis):
+    n, c = nc
+    packed, plain = packed_and_plain(n, c, basis)
+    assert same_poly(packed, plain)
+    assert type(packed.coeffs) is tuple and packed.coeffs is packed.coeffs
+    assert packed.is_zero() == plain.is_zero() == (not any(c))
+    assert all(packed.evaluate(m) == plain.evaluate(m) for m in range(0, 1 << n, 7))
+    other = Poly(packed.g, P if basis == EPS else EPS, bytes(c))
+    assert packed != other and other != plain
+    assert not hasattr(packed, "no_such_attribute")
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(byte_entries(n), byte_entries(n))))
+@settings(max_examples=60, deadline=None)
+def test_packed_product_matches_the_list_product(pair):
+    (n, a), (_, b) = pair
+    (pa, ta), (pb, tb) = packed_and_plain(n, a), packed_and_plain(n, b)
+    product = pa * pb
+    assert same_poly(product, ta * tb)
+    # bytes while every coefficient fits one, else the list loop's tuple
+    assert (type(product.vector) is bytes) == (max(product.coeffs) <= 255)
+    assert same_poly(pa * tb, product) and type((pa * tb).vector) is tuple
+
+
+def test_packed_product_past_255_restarts_in_the_list_loop():
+    g = GroundSet(4)
+    full = Poly(g, P, bytes([1] * 16))
+    square = full * full                    # 81 at the full mask
+    assert type(square.vector) is bytes and square.coeffs[15] == 81
+    big = Poly(g, P, bytes([200] + [0] * 14 + [3]))
+    assert type((big * big).vector) is tuple
+    assert (big * big).coeffs == (40000,) + (0,) * 14 + (1209,)
+
+
+@given(byte_entries(), st.sampled_from([1, -1, 2]))
+@settings(max_examples=80, deadline=None)
+def test_packed_transforms_match_the_tuple_route(nc, m):
+    from goa.operators import complementation, ell_power
+    n, c = nc
+    packed, plain = packed_and_plain(n, c)
+    eps = packed.to_basis(EPS)
+    assert same_poly(eps, plain.to_basis(EPS))
+    # the zeta transform stays packed exactly when sum(c) fits a byte
+    assert (type(eps.vector) is bytes) == (sum(c) <= 255)
+    packed_eps, plain_eps = packed_and_plain(n, c, EPS)
+    assert same_poly(packed_eps.to_basis(P), plain_eps.to_basis(P))
+    assert same_poly(complementation(packed), complementation(plain))
+    assert type(complementation(packed).vector) is bytes
+    image = ell_power(m, packed)
+    assert same_poly(image, ell_power(m, plain))
+    if m == 1:
+        assert (type(image.vector) is bytes) == (sum(c) <= 255)
+    elif m == -1:
+        assert type(image.vector) is tuple
+
+
+def test_negative_and_fraction_entries_keep_the_tuple_routes():
+    from goa.operators import complementation, ell_power
+    g = GroundSet(3)
+    for c in ([-1, 2, 0, 3, 0, 0, 1, 5], [Fraction(1, 2), 0, 1, 0, 0, 2, 0, 7]):
+        p = Poly(g, P, c)
+        block = Poly.block_sum(g, [1, 2, 6])
+        assert type(block.vector) is bytes
+        for q in (p * block, block * p, p.to_basis(EPS), complementation(p),
+                  ell_power(1, p), ell_power(2, p)):
+            assert type(q.vector) is tuple
+        assert p * block == Poly(g, P, block.coeffs) * p
+        assert (p * block).to_basis(EPS).to_basis(P) == p * block
+
+
+def test_block_sum_is_packed_until_a_count_passes_255():
+    g = GroundSet(2)
+    assert Poly.block_sum(g, [1, 2, 1]).vector == bytes([0, 2, 1, 0])
+    many = Poly.block_sum(g, iter([3] * 300 + [0, 3]))
+    assert type(many.vector) is tuple and many.coeffs == (1, 0, 0, 301)

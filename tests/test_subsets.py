@@ -254,6 +254,10 @@ def test_unsigned_width_at_and_one_past_each_boundary(monkeypatch, c, n, w, code
     out = subset_sum(c, n, w)
     assert taken == [code] and code == reference_code(c, n, w)
     assert out[-1] == sum(c) * w ** n
+    # the private core hands 1-byte results back as their bytes
+    raw = subsets._subset_sum(c, n, w)
+    assert type(out) is list and type(raw) is (bytes if code == "B" else list)
+    assert list(raw) == out
     assert out == _list_sum(c, n, w)
     assert all(type(v) is int for v in out)
     if n <= 6:
@@ -288,7 +292,13 @@ def test_unsigned_route_matches_the_list_loop(nwc):
     out = subset_sum(c, n, w)
     assert list(c) == before
     assert out == _list_sum(before, n, w)
-    assert all(type(v) is int for v in out)
+    assert type(out) is list and all(type(v) is int for v in out)
+    # the same entries as bytes take the same route, and a 1-byte result
+    # comes back from the private core as bytes
+    if all(0 <= v <= 255 for v in before):
+        raw = subsets._subset_sum(bytes(before), n, w)
+        assert list(raw) == out
+        assert (type(raw) is bytes) == (reference_code(before, n, w) == "B")
 
 
 def test_byte_route_picks_the_width_of_the_direct_bound(monkeypatch):
