@@ -175,7 +175,7 @@ class Poly:
         sum of the p-coefficients of the subsets of B): subset_sum with
         w = 1.  EPS -> P is its Moebius inverse, subset_sum with w = -1.
         Both run in O(n 2^n).  The result is packed when subset_sum's
-        unsigned route holds it in 1-byte fields.
+        packed route holds it in 1-byte fields.
         """
         if target not in (P, EPS):
             raise InputError(f"unknown basis {target!r}")

@@ -12,32 +12,24 @@ all run through it.  Reversing a vector indexed by masks moves entry x to
 full - x, the complement of x: reversal is complementation, and it turns
 superset sums into subset sums.
 
-subset_sum has three routes with the same results.  When the weight is an
+subset_sum has two routes with the same results.  When the weight is an
 int w >= 1 and every entry is an int in 0..255 (bytes(c) succeeds), the
 vector is packed into one Python int of unsigned 1-, 2-, 4- or 8-byte
-fields, sized by min(sum(c) * w^n, max(c) * (1+w)^n).  Block indicators
-qualify, so every ell_power of the coefficient-matrix cross-check takes
-this route, and so does each P -> EPS change of a closure image whose
-coefficients stay at most 255.  Other int vectors and int weights
-(negative entries, entries above 255, w <= 0) whose bound
-max|c| * (1+|w|)^n is below 2^63 take signed fields of the same widths,
-each entry offset by a bias.  Each of the n passes of a packed route is a
-few big-int operations over all fields at once.  Fraction entries and
-larger bounds take the list loop, which is also the packed routes' test
-oracle.  downward_counts calls the list loop directly: its entries are
-multi-field words, wide by construction.
+fields, sized by min(sum(c) * w^n, max(c) * (1+w)^n), and each of the n
+passes is a few big-int operations over all fields at once.  Block
+indicators qualify, so every ell_power of the coefficient-matrix
+cross-check takes this route, and so does each P -> EPS change of a
+closure image whose coefficients stay at most 255.  Every other vector
+(negative entries, entries above 255, w <= 0, Fraction entries, or a
+bound of 2^64 or more) takes the list loop, which is also the packed
+route's test oracle.  downward_counts calls the list loop directly: its
+entries are multi-field words, wide by construction.
 
-subset_sum always returns a list.  Its private core _subset_sum returns
-the bytes of a result that the unsigned route holds in 1-byte fields,
-with no list built: goa.poly keeps such a vector packed as bytes, and
-feeds those bytes to the next transform, which packs them as they are.
-
-The signed width is chosen without a Python-level scan when the entries
-fit one signed byte: the vector is packed once into 1-byte fields,
-bytes.translate deletes every byte whose |entry| a width holds, and the
-narrowest width that leaves nothing is taken.  Either route widens its
-1-byte fields by strided slice assignment.  Only a vector with an entry
-outside -128..127 (or a non-int entry) is scanned by max and min.
+subset_sum always returns a list, and int or bool entries come back as
+ints on either route.  Its private core _subset_sum returns the bytes of
+a result that the packed route holds in 1-byte fields, with no list
+built: goa.poly keeps such a vector packed as bytes, and feeds those
+bytes to the next transform, which packs them as they are.
 """
 
 import re
@@ -45,16 +37,14 @@ import sys
 from functools import lru_cache
 from itertools import repeat
 from operator import add, mul
-from struct import calcsize, error as StructError, pack, unpack_from
+from struct import calcsize, unpack_from
 
 from goa.errors import InputError
 
 MAX_N_VECTOR = 20   # 2^n coefficient vectors stay practical up to here
-# signed struct codes of the packed subset_sum fields (1, 2, 4 and 8 bytes),
-# narrowest first, each with 2^(bits-1): a bound must lie below it to fit
-_FIELDS = tuple((code, 1 << 8 * calcsize("<" + code) - 1) for code in "bhiq")
-# the unsigned codes of the same widths, each with 2^bits
-_UNSIGNED_FIELDS = tuple((code, 1 << 8 * calcsize("<" + code)) for code in "BHIQ")
+# struct codes of the packed subset_sum fields (1, 2, 4 and 8 bytes),
+# narrowest first, each with 2^bits: a bound must lie below it to fit
+_WIDTHS = tuple((code, 1 << 8 * calcsize("<" + code)) for code in "BHIQ")
 
 
 class GroundSet:
@@ -146,110 +136,69 @@ def subset_sum(c, n: int, w):
     """Entry x of the result is the sum over submasks y of x of
     w^(|x|-|y|) * c[y], for a sequence c of length 2^n; returns a new list.
 
-    w = 1 is the zeta transform and w = -1 its Moebius inverse.  Three
+    w = 1 is the zeta transform and w = -1 its Moebius inverse.  Two
     routes give the same exact results, and c is never modified:
 
-    - unsigned packed: w is an int >= 1 and every entry an int in 0..255.
-      Every result and every intermediate value is at most
+    - packed: w is an int >= 1 and every entry an int in 0..255.  Every
+      result and every intermediate value is at most
       bound = min(sum(c) * w^n, max(c) * (1+w)^n), and the fields are the
       narrowest of 1, 2, 4, 8 bytes with bound < 2^bits (_packed_sum with
       code "B", "H", "I" or "Q"); a larger bound takes the list loop.  For
-      w = 1 the sum term is always the smaller.
-    - signed packed: any other int entries with an int w, when
-      max|c| * (1+|w|)^n, a bound on every value, fits a signed 8-byte
-      field; the fields are the narrowest of 1, 2, 4, 8 bytes whose signed
-      range holds it (code "b", "h", "i" or "q").
-    - list loop (_list_sum): Fraction entries and larger bounds.
-
-    The signed width test is "every |entry| <= (limit - 1) // (1+|w|)^n",
-    the same as "bound < limit".  If c packs into signed 1-byte fields, it
-    is run on the packed bytes by bytes.translate (_byte_code); otherwise
-    max(c) and min(c) give the bound.  Either packed route widens 1-byte
-    fields in place of a second pack.
+      w = 1 the sum term is always the smaller.  1-byte fields are widened
+      in place of a second pack.
+    - list loop (_list_sum): everything else, that is negative entries,
+      entries above 255, w <= 0, Fraction entries and larger bounds.
     """
     out = _subset_sum(c, n, w)
     return list(out) if type(out) is bytes else out
 
 
 def _subset_sum(c, n: int, w):
-    """subset_sum, except that a result of the unsigned 1-byte route is
-    returned as the bytes it was read from, not as a list.  goa.poly keeps
-    such a vector packed (a Poly built from bytes) and hands the bytes
-    straight back to the next transform; bytes(c) of a bytes c is c itself.
+    """subset_sum, except that a result the packed route holds in 1-byte
+    fields is returned as the bytes it was read from, not as a list.
+    goa.poly keeps such a vector packed (a Poly built from bytes) and hands
+    the bytes straight back to the next transform; bytes(c) of a bytes c
+    is c itself.
 
-    The unsigned bound's sum(c) is taken over the nonzero bytes alone
-    (translate deletes the zeros), which a block indicator has few of."""
+    The bound's sum(c) is taken over the nonzero bytes alone (translate
+    deletes the zeros), which a block indicator has few of."""
     count = len(c)
     if count != 1 << n:
         raise InputError(f"a vector over {n} points has {1 << n} entries, got {count}")
-    if isinstance(w, int):
-        if w >= 1:
-            try:
-                data = bytes(c)
-            except (TypeError, ValueError):   # a non-int entry, or one outside 0..255
-                pass
-            else:
-                bound = sum(data.translate(None, b"\0")) * w ** n
-                if w > 1:
-                    bound = min(bound, max(data) * (1 + w) ** n)
-                code = next((t for t, limit in _UNSIGNED_FIELDS if bound < limit), None)
-                if code is None:
-                    return _list_sum(c, n, w)
-                return _packed_sum(_widen(data, code), code, n, w)
+    if isinstance(w, int) and w >= 1:
         try:
-            data = pack(f"<{count}b", *c)
-        except StructError:   # a Fraction entry, or one outside -128..127
-            bound = max(max(c), -min(c)) * (1 + abs(w)) ** n
-            code = next((t for t, limit in _FIELDS if bound < limit), None)
-            if code is not None:
-                try:
-                    packed = pack(f"<{count}{code}", *c)
-                except StructError:   # a Fraction entry
-                    pass
-                else:
-                    return _packed_sum(packed, code, n, w)
+            data = bytes(c)
+        except (TypeError, ValueError):   # a non-int entry, or one outside 0..255
+            pass
         else:
-            code = _byte_code(data, (1 + abs(w)) ** n)
+            bound = sum(data.translate(None, b"\0")) * w ** n
+            if w > 1:
+                bound = min(bound, max(data) * (1 + w) ** n)
+            code = next((t for t, limit in _WIDTHS if bound < limit), None)
             if code is not None:
                 return _packed_sum(_widen(data, code), code, n, w)
     return _list_sum(c, n, w)
 
 
-def _byte_code(data: bytes, growth: int):
-    """The narrowest field code whose signed range holds every entry of
-    the 1-byte fields in data times growth, else None.  Width by width,
-    translate deletes the bytes whose |entry| is at most the largest that
-    fits; the width fits when nothing is left."""
-    for code, limit in _FIELDS:
-        top = (limit - 1) // growth
-        if top >= 128 or not data.translate(None, bytes(range(top + 1)) +
-                                            bytes(range(256 - top, 256))):
-            return code
-    return None
-
-
 def _widen(data: bytes, code: str):
     """The 1-byte fields of data widened to the fields of struct code
-    `code`: each byte becomes the low byte of its field.  Every higher
-    byte is 0 for an unsigned code, and the sign byte (0xff for a negative
-    entry, else 0) for a signed one."""
+    `code`: each byte becomes the low byte of its field, and every higher
+    byte is 0."""
     size = calcsize("<" + code)
     if size == 1:
         return data
     out = bytearray(len(data) * size)
     out[::size] = data
-    if code.islower():
-        sign = data.translate(bytes(128) + b"\xff" * 128)
-        for j in range(1, size):
-            out[j::size] = sign
     return out
 
 
 def _list_sum(c, n: int, w):
     """subset_sum by a list loop, for entries of any exact type.  Each of
     the n passes handles the lowest index bit and rotates the bits right
-    by one, so after n passes the index order is restored."""
+    by one, so after n passes the index order is restored.  Entry 0 is
+    never added to, so it gets + 0 to turn a bool into an int."""
     c = list(c)
+    c[0] += 0
     for _ in range(n):
         even = c[0::2]
         c = even + list(map(add, c[1::2], even if w == 1 else map(mul, repeat(w), even)))
@@ -264,55 +213,38 @@ def _packed_sum(data, code: str, n: int, w):
     is the same on every host.  Returns a list of ints, except for code
     "B": then the result's bytes themselves (see _subset_sum).
 
-    Unsigned code (w >= 1, entries >= 0): one int x holds the fields as
-    its exact base-2^bits expansion, and each pass is
+    The entries are ints in 0..255 and w >= 1.  One int x holds the fields
+    as its exact base-2^bits expansion, and each pass is
     x += w * (x & low) << (bits << k).  Every value a field takes is a
     partial sum of the nonnegative terms w^(|x|-|y|) * c[y] of its final
     value, so it is at most that value, which is at most both sum(c) * w^n
     and max(c) * (1+w)^n: the bound subset_sum sized the field by.
-
-    Signed code: field i holds entry i plus 2^(bits-1) (the bias), so every
-    field is nonnegative and x is again their exact expansion.  Removing
-    the bias before each add lets one formula serve any integer w and
-    signed entries, and max|c| * (1+|w|)^n bounds every value.
     """
     size = calcsize("<" + code)
     bits = 8 * size
-    count = 1 << n
-    bias, masks = _pass_masks(n, size)
     x = int.from_bytes(data, "little")
-    if code.isupper():
-        for k, low in enumerate(masks):
-            d = x & low
-            x += (d if w == 1 else w * d) << (bits << k)
-        out = x.to_bytes(count * size, "little")
-        return out if size == 1 else list(unpack_from(f"<{count}{code}", out))
-    x ^= bias
-    for k, low in enumerate(masks):
-        d = (x & low) - (bias & low)
+    for k, low in enumerate(_pass_masks(n, size)):
+        d = x & low
         x += (d if w == 1 else w * d) << (bits << k)
-    return list(unpack_from(f"<{count}{code}", (x ^ bias).to_bytes(count * size, "little")))
+    out = x.to_bytes(len(data), "little")
+    return out if size == 1 else list(unpack_from(f"<{1 << n}{code}", out))
 
 
 @lru_cache(maxsize=1)
 def _pass_masks(n: int, size: int):
-    """(bias, masks): the bias int, 2^(bits-1) in every size-byte field
-    of 2^n, and for each pass k < n the int whose fields are all ones
-    where the field index has bit k clear, and zero elsewhere.  Keyed on
-    the field size alone, so the signed and unsigned fields of one width
-    share a set; only the signed route reads the bias.
+    """For each pass k < n, the int whose size-byte fields (2^n of them)
+    are all ones where the field index has bit k clear, and zero elsewhere.
 
-    Only the last (n, size) set is kept: (n + 1) * 2^n * size bytes, about
-    2 MB at n = 16 with 2-byte fields and 84 MB at n = 20 with 4-byte
-    fields.  Transforms in a row mostly share one size, and building the
-    set takes a fifth to half as long as one transform."""
+    Only the last (n, size) set is kept: n * 2^n * size bytes, 2 MiB at
+    n = 16 with 2-byte fields and 80 MiB at n = 20 with 4-byte fields.
+    Transforms in a row mostly share one size, and building the set takes
+    a fifth to half as long as one transform."""
     count = 1 << n
-    bias = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
     masks = []
     for k in range(n):
         run = size << k                  # bytes in 2^k consecutive fields
         masks.append(int.from_bytes((b"\xff" * run + bytes(run)) * (count >> k + 1), "little"))
-    return bias, tuple(masks)
+    return tuple(masks)
 
 
 def downward_counts(blocks, n: int):

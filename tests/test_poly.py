@@ -135,6 +135,14 @@ def test_format_poly(g3):
     assert format_poly(q).splitlines() == ["basis P", "3 * -", "-1/2 * 1 3"]
 
 
+def test_bool_values_change_basis_to_int_coefficients():
+    # the change to P is a Moebius transform (w = -1), which the list loop
+    # runs; the coefficient of the empty set is printed as 1, not True
+    p = from_function(GroundSet(2), lambda m: m != 2).to_basis(P)
+    assert format_poly(p).splitlines() == ["basis P", "1 * -", "-1 * 2", "1 * 1 2"]
+    assert all(type(v) is int for v in p.coeffs)
+
+
 def test_term_order_by_size_then_mask(g3):
     q = Poly.block_sum(g3, [mask_of([1, 2]), mask_of([3]), mask_of([1])])
     lines = format_poly(q).splitlines()[1:]

@@ -124,11 +124,8 @@ def test_subset_sum_accepts_a_tuple_and_leaves_its_input_unchanged(nc, w):
 
 # -- the packed route of subset_sum ------------------------------------------
 
-PACKED_WEIGHTS = (-3, -2, -1, 1, 2, 3)
-# the signed range of each field width, with the field codes of a bound just
-# inside it and of a bound that reaches it (None: the list loop)
-FIELD_LIMITS = [(1 << 7, "b", "h"), (1 << 15, "h", "i"), (1 << 31, "i", "q"), (1 << 63, "q", None)]
-# the unsigned fields of the same widths, each with 2^bits
+PACKED_WEIGHTS = (-3, -2, -1, 0, 1, 2, 3)
+# the packed field widths, each with 2^bits
 UNSIGNED_LIMITS = [("B", 1 << 8), ("H", 1 << 16), ("I", 1 << 32), ("Q", 1 << 64)]
 
 
@@ -164,19 +161,20 @@ def attaining(m, n, w):
 
 
 @st.composite
-def packed_cases(draw):
-    """(n, w, c): int entries whose bound max|c| * (1+|w|)^n lies just
-    inside a field's signed range, or at or just past its limit."""
+def int_cases(draw):
+    """(n, w, c): int entries from 0 or below up to a top at or around the
+    ends of the packed rule (255 is the largest entry it packs), with one
+    entry set to the lowest or the top, for any weight in -3..3."""
     n = draw(st.integers(min_value=0, max_value=8))
     w = draw(st.sampled_from(PACKED_WEIGHTS))
-    limit = draw(st.sampled_from([f[0] for f in FIELD_LIMITS]))
-    m = max(1, (limit - 1) // (1 + abs(w)) ** n + draw(st.integers(0, 1)))
-    c = draw(st.lists(st.integers(-m, m), min_size=1 << n, max_size=1 << n))
-    c[draw(st.integers(0, (1 << n) - 1))] = draw(st.sampled_from([m, -m]))
+    low = draw(st.sampled_from([0, 0, -1, -255]))
+    top = draw(st.sampled_from([1, 127, 255, 256, 1 << 40]))
+    c = draw(st.lists(st.integers(low, top), min_size=1 << n, max_size=1 << n))
+    c[draw(st.integers(0, (1 << n) - 1))] = draw(st.sampled_from([low, top]))
     return n, w, c
 
 
-@given(packed_cases())
+@given(int_cases())
 @settings(deadline=None)
 def test_packed_route_matches_the_list_loop_and_a_direct_sum(nwc):
     n, w, c = nwc
@@ -196,38 +194,32 @@ def takes_unsigned(c, w):
 
 
 def reference_code(c, n, w):
-    """The field code subset_sum must take: for the unsigned route, from
-    min(sum(c) * w^n, max(c) * (1+w)^n); otherwise from max|c| * (1+|w|)^n."""
-    if takes_unsigned(c, w):
-        bound = min(sum(c) * w ** n, max(c) * (1 + w) ** n)
-        return next((code for code, limit in UNSIGNED_LIMITS if bound < limit), None)
-    bound = max(abs(v) for v in c) * (1 + abs(w)) ** n
-    return next((code for code, limit in subsets._FIELDS if bound < limit), None)
+    """The field code subset_sum must take, from
+    min(sum(c) * w^n, max(c) * (1+w)^n), or None for the list loop: a
+    vector outside the packed rule, or a bound past the widest field."""
+    if not takes_unsigned(c, w):
+        return None
+    bound = min(sum(c) * w ** n, max(c) * (1 + w) ** n)
+    return next((code for code, limit in UNSIGNED_LIMITS if bound < limit), None)
 
 
-@pytest.mark.parametrize("limit, inside, past", FIELD_LIMITS)
-def test_field_width_at_and_one_past_each_boundary(monkeypatch, limit, inside, past):
-    # the signed rule holds for the negated vectors and for w <= -1; a
-    # nonnegative vector of entries up to 255 with w >= 1 is unsigned
+def test_attaining_vectors_outside_the_packed_rule_take_the_list_loop(monkeypatch):
+    # negative entries, entries above 255, w <= 0 and Fractions all take the
+    # list loop; entries of m >= 0 with w >= 1 are the packed rule's, and
+    # each attaining vector reaches its bound m * (1+|w|)^n
     taken = spy_routes(monkeypatch)
     for n in range(9):
         for w in PACKED_WEIGHTS:
-            # the largest max|c| whose bound fits, then one more, which puts
-            # the bound at the limit or past it; attaining vectors reach it
-            m = (limit - 1) // (1 + abs(w)) ** n
-            if m == 0:                  # (1+|w|)^n alone is past the limit
-                continue
-            for entries, code in ((m, inside), (m + 1, past)):
-                for c in (attaining(entries, n, w), [-v for v in attaining(entries, n, w)]):
+            for m in (1, 127, 128, 255, 256, 1 << 20, 1 << 63):
+                ints = attaining(m, n, w)
+                for c in (ints, [-v for v in ints], [Fraction(v) for v in ints]):
                     del taken[:]
                     out = subset_sum(c, n, w)
-                    if takes_unsigned(c, w):
-                        assert taken == [reference_code(c, n, w)], (n, w, entries)
-                    else:
-                        assert taken == [code], (n, w, entries)
+                    assert taken == [reference_code(c, n, w)], (n, w, m)
                     assert out == _list_sum(c, n, w)
-                    assert all(type(v) is int for v in out)
-                    assert abs(out[-1]) == entries * (1 + abs(w)) ** n
+                    assert abs(out[-1]) == m * (1 + abs(w)) ** n
+                    if type(c[0]) is int:
+                        assert all(type(v) is int for v in out)
 
 
 def spike(m, n):
@@ -301,34 +293,34 @@ def test_unsigned_route_matches_the_list_loop(nwc):
         assert (type(raw) is bytes) == (reference_code(before, n, w) == "B")
 
 
-def test_byte_route_picks_the_width_of_the_direct_bound(monkeypatch):
-    # vectors that pack into signed 1-byte fields choose their width by
-    # translate; -128 and 127 are the ends of that range, 128 takes the
-    # max/min route unless the unsigned rule applies
+def test_route_follows_the_packed_rule_at_the_byte_boundaries(monkeypatch):
+    # random vectors with entries in -m..m or 0..m, for m at the ends of
+    # the byte (127, 128, 255, 256), and bool vectors: only entries in
+    # 0..255 with w >= 1 are packed, and every result is an int
     taken = spy_routes(monkeypatch)
     rng = random.Random(16)
     cases = []
     for n in range(11):
-        for w in PACKED_WEIGHTS:
-            growth = (1 + abs(w)) ** n
-            for limit in (f[0] for f in FIELD_LIMITS):
-                # the largest |entry| whose bound fits this width, and one more
-                for m in {(limit - 1) // growth, (limit - 1) // growth + 1}:
-                    m = min(m, 128)
-                    c = [rng.randint(-m, m) for _ in range(1 << n)]
-                    c[rng.randrange(1 << n)] = m if m < 128 else -128
-                    cases.append((c, n, w))
         size = 1 << n
-        cases.append(([True, False] * (size // 2) or [True], n, 1))
+        for w in PACKED_WEIGHTS:
+            for m in (1, 127, 128, 255, 256):
+                for low in (-m, 0):
+                    c = [rng.randint(low, m) for _ in range(size)]
+                    c[rng.randrange(size)] = m
+                    cases.append((c, n, w))
+            cases.append(([True, False] * (size // 2) or [True], n, w))
+        cases.append(([True] + [256] * (size - 1), n, 1))
         cases.append(([-128] + [127] * (size - 1), n, -1))
-        cases.append(([0] * (size - 1) + [128], n, 2))
         cases.append(([0] * (size - 1) + [256], n, 2))
+    cases.append(([True, 256, True, True], 2, 1))
     for c, n, w in cases:
         del taken[:]
         out = subset_sum(c, n, w)
         assert taken == [reference_code(c, n, w)], (n, w, max(map(abs, c)))
         assert out == _list_sum(c, n, w)
         assert all(type(v) is int for v in out)
+        if n <= 6:
+            assert out == direct_sum(c, n, w)
 
 
 def test_fraction_mixed_and_wide_vectors_take_the_list_loop(monkeypatch):
