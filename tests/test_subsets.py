@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction
 from math import comb
-from struct import calcsize
+from struct import calcsize, pack
+from struct import error as struct_error
 
 import pytest
 from hypothesis import given, settings
@@ -220,6 +221,42 @@ def test_attaining_vectors_outside_the_packed_rule_take_the_list_loop(monkeypatc
                     assert abs(out[-1]) == m * (1 + abs(w)) ** n
                     if type(c[0]) is int:
                         assert all(type(v) is int for v in out)
+
+
+# the signed range of each field width, with the struct codes of a bound just
+# inside it and of a bound that reaches it (None: past every width)
+SIGNED_LIMITS = [(1 << 7, "b", "h"), (1 << 15, "h", "i"), (1 << 31, "i", "q"), (1 << 63, "q", None)]
+
+
+@pytest.mark.parametrize("limit, inside, past", SIGNED_LIMITS)
+def test_field_width_at_and_one_past_each_boundary(monkeypatch, limit, inside, past):
+    # attaining vectors whose bound m * (1+|w|)^n lies just inside each
+    # signed range, and m + 1 which puts it at the limit or past it: the
+    # packed rule alone picks the route, and values stay exact on both sides
+    taken = spy_routes(monkeypatch)
+    for n in range(9):
+        for w in PACKED_WEIGHTS:
+            growth = (1 + abs(w)) ** n
+            m = (limit - 1) // growth
+            if m == 0:                  # (1+|w|)^n alone is past the limit
+                continue
+            for entries, code in ((m, inside), (m + 1, past)):
+                bound = entries * growth
+                if code is None:
+                    assert bound >= 1 << 63
+                else:
+                    pack(code, -bound)          # the bound fits this width
+                if entries == m + 1:            # and not the narrower one
+                    with pytest.raises(struct_error):
+                        pack(inside, bound)
+                ints = attaining(entries, n, w)
+                for c in (ints, [-v for v in ints]):
+                    del taken[:]
+                    out = subset_sum(c, n, w)
+                    assert taken == [reference_code(c, n, w)], (n, w, entries)
+                    assert out == _list_sum(c, n, w)
+                    assert all(type(v) is int for v in out)
+                    assert abs(out[-1]) == bound
 
 
 def spike(m, n):
