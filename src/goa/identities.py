@@ -160,14 +160,15 @@ def identity_suite(g: GroundSet, seed: int = DEFAULT_SEED):
     add("disjointness operator vanishes above n/2", ok)
 
     # transpose duality: coefficient b of up(p_a) equals coefficient a of
-    # down(p_b); an entrywise comparison of two operators, so on every mask
+    # down(p_b), on every mask.  Both dicts are keyed (a, b) and hold only
+    # nonzero entries: an entry missing from both is 0 on both sides.
     basis = [Poly.term(g, a) for a in g.masks()]
     ok = True
     for r in range(n):
         raise_op, lower_op = e_klr(g, r, r + 1, r), e_klr(g, r + 1, r, r)
-        up = [raise_op(p).coeffs for p in basis]
-        down = [lower_op(p).coeffs for p in basis]
-        if not all(up[a][b] == down[b][a] for a in g.masks() for b in g.masks()):
+        up = {(a, b): c for a, p in enumerate(basis) for b, c in raise_op(p).terms()}
+        down = {(a, b): c for b, p in enumerate(basis) for a, c in lower_op(p).terms()}
+        if up != down:
             ok = False
     add("raising and lowering operators are transposes", ok)
 

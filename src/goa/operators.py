@@ -13,7 +13,7 @@ from math import factorial
 
 from goa.errors import InputError
 from goa.poly import P, Poly
-from goa.subsets import GroundSet, _subset_sum, enumerate_by_size, popcount
+from goa.subsets import GroundSet, enumerate_by_size, popcount, subset_sum
 
 
 def _require_p_basis(p: Poly):
@@ -27,9 +27,7 @@ def derivation(p: Poly) -> Poly:
     images of the A minus i."""
     _require_p_basis(p)
     out = [0] * p.g.size
-    for a, c in enumerate(p.vector):
-        if c == 0:
-            continue
+    for a, c in p.terms():
         m = a
         while m:
             bit = m & -m
@@ -40,11 +38,11 @@ def derivation(p: Poly) -> Poly:
 
 def complementation(p: Poly) -> Poly:
     """p_A -> p_{complement of A}; an involution.  The complement of a
-    mask is full - mask, so this reverses the coefficient vector (a packed
-    Poly's bytes, else its tuple).  S_n-equivariant: the complement of
+    mask is full - mask, so this reverses p.coeffs, bytes or tuple (see
+    goa.poly), into the same form.  S_n-equivariant: the complement of
     sigma A is sigma of the complement."""
     _require_p_basis(p)
-    return Poly(p.g, P, p.vector[::-1])
+    return Poly(p.g, P, p.coeffs[::-1])
 
 
 def ell_power(m: int, p: Poly) -> Poly:
@@ -55,7 +53,8 @@ def ell_power(m: int, p: Poly) -> Poly:
     Coefficient B of the image is a weighted sum over the supersets of
     B.  Reversing the vector (complementation) turns superset sums into
     subset sums, so this is subset_sum with w = m between two reversals;
-    a packed image stays bytes through both (subsets._subset_sum).
+    packed coeffs (see goa.poly) stay bytes through both when subset_sum
+    holds the image in 1-byte fields.
     The series form is kept as a tested identity (see ell_power_series).
     m must be a nonzero integer.  S_n-equivariant: the subsets of sigma A
     are the images of the subsets of A, with the same sizes.
@@ -63,7 +62,7 @@ def ell_power(m: int, p: Poly) -> Poly:
     if m == 0:
         raise InputError("ell_power requires a nonzero integer power")
     _require_p_basis(p)
-    return Poly(p.g, P, _subset_sum(p.vector[::-1], p.g.n, m)[::-1])
+    return Poly(p.g, P, subset_sum(p.coeffs[::-1], p.g.n, m)[::-1])
 
 
 def ell_power_series(m: int, p: Poly) -> Poly:
@@ -82,9 +81,8 @@ def ell_power_series(m: int, p: Poly) -> Poly:
         w = Fraction(mk, factorial(k))
         if w.denominator == 1:
             w = w.numerator
-        for a, c in enumerate(cur.coeffs):
-            if c != 0:
-                acc[a] += w * c
+        for a, c in cur.terms():
+            acc[a] += w * c
     acc = [c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c for c in acc]
     return Poly(p.g, P, acc)
 
@@ -146,8 +144,8 @@ def e_klr(g: GroundSet, k: int, l: int, r: int) -> LinearOperator:
     def apply(p: Poly, _k=k, _l=l, _r=r, _lev=level_l) -> Poly:
         _require_p_basis(p)
         out = [0] * p.g.size
-        for a, c in enumerate(p.vector):
-            if c == 0 or popcount(a) != _k:
+        for a, c in p.terms():
+            if popcount(a) != _k:
                 continue
             for b in _lev:
                 if popcount(a & b) == _r:

@@ -16,10 +16,10 @@ structure constants) goes through Partition.block_values.  It reads the
 vector at each block's first member with one operator.itemgetter, spreads
 those values back over all 2^n masks, and compares the result with the
 vector.  A list or tuple is spread by a second itemgetter, over block_of.
-A bytes vector (a packed goa.poly.Poly: every closure image and
-cross-check image whose entries fit a byte) is spread by bytes.translate
-of a kept string of block indices, one pass per group of 256 blocks, up
-to BYTE_SPREAD_MAX_BLOCKS blocks; past that it takes the itemgetter too.
+A bytes vector (packed Poly coeffs, see goa.poly: every closure image
+and cross-check image whose entries fit a byte) is spread by
+bytes.translate of a kept string of block indices, one pass per group of
+256 blocks, up to BYTE_SPREAD_MAX_BLOCKS blocks; past that, itemgetter.
 The getters and the index string are built on first use and kept with
 the partition.
 
@@ -296,7 +296,7 @@ def coeff_matrix(p: Partition) -> CoeffMatrix:
     # s x s transpose is held.
     for i, (block, counts) in enumerate(zip(p.blocks, zip(*m.entries))):
         image = complementation(ell_power(1, complementation(Poly.block_sum(p.g, block))))
-        column, bad = p.block_values(image.vector)
+        column, bad = p.block_values(image.coeffs)
         if bad is not None or column != list(counts):
             raise VerificationFailure(
                 f"coefficient matrix disagrees with comp.ell.comp on block {i}")
@@ -374,7 +374,7 @@ def verify_goa_closure(p: Partition, deadline=None) -> GoaReport:
     for checked, (where, image) in enumerate(images()):
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded(f"closure test checked {checked} of {total} images")
-        bad = p.block_values(image.to_basis(EPS).vector)[1]
+        bad = p.block_values(image.to_basis(EPS).coeffs)[1]
         if bad is not None:
             return GoaReport(False, where + (bad,), image)
     return GoaReport(True)
@@ -396,7 +396,7 @@ def structure_constants(p: Partition, i: int, j: int):
                 total += (-1) ** (sizes[k] - sizes[l]) * term
         moebius.append(total)
     product = p.block_poly(i) * p.block_poly(j)
-    direct, bad = p.block_values(product.vector)
+    direct, bad = p.block_values(product.coeffs)
     if bad is not None:
         raise VerificationFailure(
             f"product of blocks ({i},{j}) is not constant on block {bad}")

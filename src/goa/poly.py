@@ -8,48 +8,39 @@ tagged with its basis:
 
 Coefficients are Python ints or Fractions; the two mix exactly.
 
-A Poly built from a bytes object is packed: it keeps those bytes (every
-coefficient an int in 0..255) and builds its coeffs tuple only when
-something reads it, so ==, hash, coeffs and terms behave as for the
-tuple.  Poly.vector is the stored form, the bytes or the coeffs tuple.
-Block sums, P-basis products of packed Polys whose coefficients stay in
-0..255, complementation, ell_power and to_basis (see goa.operators and
-subsets._subset_sum) produce and consume the bytes with no 2^n-entry
-tuple or list in between, and the closure test and the coefficient-matrix
-cross-check hand them to Partition.block_values as they are.
+Poly.coeffs is the one coefficient sequence: the bytes a Poly was built
+from (packed: every coefficient an int in 0..255), or a tuple of
+anything else.  Every module reads coeffs and no other form; ==, hash,
+terms, is_zero and evaluate agree between a packed Poly and the tuple
+with the same entries.  Block sums, P-basis products of packed Polys
+whose coefficients stay in 0..255, complementation, ell_power and
+to_basis (see goa.operators and subsets.subset_sum) produce and consume
+the bytes with no 2^n-entry tuple or list in between, and the closure
+test and the coefficient-matrix cross-check hand them to
+Partition.block_values as they are.
 """
 
 from goa.errors import InputError
-from goa.subsets import GroundSet, _subset_sum, format_subset, popcount, submasks
+from goa.subsets import GroundSet, format_subset, popcount, submasks, subset_sum
 
 P = "P"
 EPS = "EPS"
 
 
 class Poly:
-    __slots__ = ("g", "basis", "coeffs", "vector", "_terms")
+    __slots__ = ("g", "basis", "coeffs", "_terms")
 
     def __init__(self, g: GroundSet, basis: str, coeffs):
         if basis not in (P, EPS):
             raise InputError(f"unknown basis {basis!r}")
         if type(coeffs) is not bytes:
             coeffs = tuple(coeffs)
-            object.__setattr__(self, "coeffs", coeffs)
         if len(coeffs) != g.size:
             raise InputError(f"coefficient vector must have {g.size} entries, got {len(coeffs)}")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "vector", coeffs)
-        object.__setattr__(self, "_terms", None)
-
-    def __getattr__(self, name):
-        # reached only for an unset slot: the coeffs of a packed Poly, built
-        # from its bytes on first read and kept
-        if name != "coeffs":
-            raise AttributeError(name)
-        coeffs = tuple(self.vector)
         object.__setattr__(self, "coeffs", coeffs)
-        return coeffs
+        object.__setattr__(self, "_terms", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -112,23 +103,24 @@ class Poly:
     def __eq__(self, other):
         if not (isinstance(other, Poly) and self.g == other.g and self.basis == other.basis):
             return False
-        if type(self.vector) is type(other.vector):
-            return self.vector == other.vector
-        return self.coeffs == other.coeffs
+        if type(self.coeffs) is type(other.coeffs):
+            return self.coeffs == other.coeffs
+        return tuple(self.coeffs) == tuple(other.coeffs)
 
     def __hash__(self):
-        # an int and the equal Fraction hash alike, so this agrees with ==
-        return hash((self.g, self.basis, self.coeffs))
+        # an int and the equal Fraction hash alike, and so do packed and
+        # tuple coeffs with equal entries, so this agrees with ==
+        return hash((self.g, self.basis, tuple(self.coeffs)))
 
     def is_zero(self):
-        return not any(self.vector)
+        return not any(self.coeffs)
 
     def terms(self):
         """Nonzero (mask, coeff) pairs, ascending mask, as a tuple.  A Poly
         is immutable, so the scan runs once and later calls reuse it."""
         if self._terms is None:
             object.__setattr__(self, "_terms",
-                               tuple((m, c) for m, c in enumerate(self.vector) if c != 0))
+                               tuple((m, c) for m, c in enumerate(self.coeffs) if c != 0))
         return self._terms
 
     # -- algebra --------------------------------------------------------
@@ -149,7 +141,7 @@ class Poly:
         if self.basis == EPS:
             return Poly(self.g, EPS, [a * b for a, b in zip(self.coeffs, other.coeffs)])
         left, right = self.terms(), other.terms()
-        if type(self.vector) is bytes and type(other.vector) is bytes:
+        if type(self.coeffs) is bytes and type(other.coeffs) is bytes:
             try:
                 return Poly(self.g, P, bytes(_union_products(bytearray(self.g.size), left, right)))
             except ValueError:   # a coefficient past 255
@@ -164,8 +156,8 @@ class Poly:
         if not 0 <= b < self.g.size:
             raise InputError(f"mask {b} out of range")
         if self.basis == EPS:
-            return self.vector[b]
-        return sum(self.vector[a] for a in submasks(b))
+            return self.coeffs[b]
+        return sum(self.coeffs[a] for a in submasks(b))
 
     def to_basis(self, target: str):
         """Exact basis change; round trips are the identity.
@@ -182,7 +174,7 @@ class Poly:
         if target == self.basis:
             return self
         w = 1 if target == EPS else -1
-        return Poly(self.g, target, _subset_sum(self.vector, self.g.n, w))
+        return Poly(self.g, target, subset_sum(self.coeffs, self.g.n, w))
 
     def __repr__(self):
         return f"Poly({self.g.n}, {self.basis}, {dict(self.terms())})"

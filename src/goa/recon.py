@@ -4,6 +4,7 @@ the ground set (and above the log of the orbit size), the families
 showing both bounds tight, and the free-action reconstruction index.
 """
 
+from bisect import bisect_left, bisect_right
 from math import comb
 
 from goa.errors import BudgetExceeded, InputError, VerificationFailure
@@ -44,16 +45,18 @@ class ReconPair:
 
 
 def deck(p: Partition, i: int) -> Deck:
+    """Block i's deck.  Blocks are in canonical order, so member sizes
+    ascend and the smaller blocks are a prefix of the row."""
     matrix = p.matrix
-    k = matrix.member_sizes[i]
-    smaller = tuple(j for j in range(matrix.s) if matrix.member_sizes[j] < k)
-    return Deck(i, smaller, tuple(matrix.entries[i][j] for j in smaller))
+    sizes = matrix.member_sizes
+    start = bisect_left(sizes, sizes[i])
+    return Deck(i, tuple(range(start)), tuple(matrix.entries[i][:start]))
 
 
 def reconstruction_pairs(p: Partition, k: int):
     """Unordered block pairs at member size k with identical decks."""
-    matrix = p.matrix
-    level = [i for i in range(matrix.s) if matrix.member_sizes[i] == k]
+    sizes = p.matrix.member_sizes
+    level = range(bisect_left(sizes, k), bisect_right(sizes, k))
     decks = {i: deck(p, i) for i in level}
     out = []
     for xi, i in enumerate(level):

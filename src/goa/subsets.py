@@ -25,11 +25,11 @@ bound of 2^64 or more) takes the list loop, which is also the packed
 route's test oracle.  downward_counts calls the list loop directly: its
 entries are multi-field words, wide by construction.
 
-subset_sum always returns a list, and int or bool entries come back as
-ints on either route.  Its private core _subset_sum returns the bytes of
-a result that the packed route holds in 1-byte fields, with no list
-built: goa.poly keeps such a vector packed as bytes, and feeds those
-bytes to the next transform, which packs them as they are.
+subset_sum returns bytes exactly when the packed route holds the result
+in 1-byte fields, and a list otherwise; int or bool entries come back as
+ints either way.  This bytes-or-list result is the one packed form of the
+package: goa.poly keeps such bytes as a Poly's coeffs and feeds them to
+the next transform, which packs them as they are.
 """
 
 import re
@@ -134,34 +134,25 @@ def submasks(mask: int):
 
 def subset_sum(c, n: int, w):
     """Entry x of the result is the sum over submasks y of x of
-    w^(|x|-|y|) * c[y], for a sequence c of length 2^n; returns a new list.
+    w^(|x|-|y|) * c[y], for a sequence c of length 2^n; returns bytes when
+    the packed route holds the result in 1-byte fields, else a new list.
 
     w = 1 is the zeta transform and w = -1 its Moebius inverse.  Two
     routes give the same exact results, and c is never modified:
 
-    - packed: w is an int >= 1 and every entry an int in 0..255.  Every
-      result and every intermediate value is at most
+    - packed: w is an int >= 1 and every entry an int in 0..255 (bytes(c)
+      succeeds; bytes(c) of a bytes c is c itself).  Every result and every
+      intermediate value is at most
       bound = min(sum(c) * w^n, max(c) * (1+w)^n), and the fields are the
       narrowest of 1, 2, 4, 8 bytes with bound < 2^bits (_packed_sum with
       code "B", "H", "I" or "Q"); a larger bound takes the list loop.  For
-      w = 1 the sum term is always the smaller.  1-byte fields are widened
-      in place of a second pack.
+      w = 1 the sum term is always the smaller, and it is taken over the
+      nonzero bytes alone (translate deletes the zeros), which a block
+      indicator has few of.  1-byte fields are widened in place of a
+      second pack.
     - list loop (_list_sum): everything else, that is negative entries,
       entries above 255, w <= 0, Fraction entries and larger bounds.
     """
-    out = _subset_sum(c, n, w)
-    return list(out) if type(out) is bytes else out
-
-
-def _subset_sum(c, n: int, w):
-    """subset_sum, except that a result the packed route holds in 1-byte
-    fields is returned as the bytes it was read from, not as a list.
-    goa.poly keeps such a vector packed (a Poly built from bytes) and hands
-    the bytes straight back to the next transform; bytes(c) of a bytes c
-    is c itself.
-
-    The bound's sum(c) is taken over the nonzero bytes alone (translate
-    deletes the zeros), which a block indicator has few of."""
     count = len(c)
     if count != 1 << n:
         raise InputError(f"a vector over {n} points has {1 << n} entries, got {count}")
@@ -211,7 +202,7 @@ def _packed_sum(data, code: str, n: int, w):
     index has bit k clear to the field 2^k above it; no field ever carries
     into the next.  The struct formats name the byte order, so the layout
     is the same on every host.  Returns a list of ints, except for code
-    "B": then the result's bytes themselves (see _subset_sum).
+    "B": then the result's bytes themselves (see subset_sum).
 
     The entries are ints in 0..255 and w >= 1.  One int x holds the fields
     as its exact base-2^bits expansion, and each pass is

@@ -142,6 +142,30 @@ def test_block_values_past_the_translate_cap_take_the_itemgetter(monkeypatch):
     assert part._byte_spread is None
 
 
+def test_closure_and_cross_check_images_reach_block_values_as_bytes(monkeypatch):
+    # the packed hot path on the n = 9 tight orbit partition: every closure
+    # image and every coefficient-matrix cross-check image stays bytes from
+    # Poly.block_sum to Partition.block_values; only the downward_counts
+    # table of the axiom-3 test is a list
+    from goa.recon import lovasz_tight_instance
+    part = orbit_partition(lovasz_tight_instance(4, pad=1)[0])
+    s = len(part)
+    assert s == 164
+    seen = []
+    real = Partition.block_values
+
+    def spy(self, vec):
+        seen.append(type(vec))
+        return real(self, vec)
+
+    monkeypatch.setattr(Partition, "block_values", spy)
+    assert verify_goa_closure(part).closed
+    assert seen == [bytes] * (2 * s + s * (s + 1) // 2) and len(seen) == 13858
+    del seen[:]
+    coeff_matrix(part)
+    assert seen == [list] + [bytes] * s
+
+
 # -- axioms ----------------------------------------------------------------
 
 def test_example_is_strongly_regular(example_partition):

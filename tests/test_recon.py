@@ -37,8 +37,9 @@ def test_deck_example(example_partition):
 
 def test_deck_matches_brute_force():
     rng = random.Random(2)
-    for _ in range(6):
-        part = orbit_partition(random_group(rng, rng.randint(3, 6)))
+    parts = [orbit_partition(random_group(rng, rng.randint(3, 6))) for _ in range(6)]
+    parts += [orbit_partition(lovasz_tight_instance(r)[0]) for r in range(3, 7)]
+    for part in parts:
         m = part.matrix
         for i in range(m.s):
             d = deck(part, i)
