@@ -2,6 +2,9 @@
 reconstruction pairs, the counting bounds that forbid them above half
 the ground set (and above the log of the orbit size), the families
 showing both bounds tight, and the free-action reconstruction index.
+
+`lovasz_check` checks the bound; the intersection formula `e_block_entry`
+is a cross-check against a direct count that tests call, not commands.
 """
 
 from bisect import bisect_left, bisect_right
@@ -88,7 +91,8 @@ def kelly_check(p: Partition, i: int, j: int) -> bool:
 def e_block_entry(p: Partition, i: int, j: int, r: int) -> int:
     """Number of members of block j meeting a member of block i in exactly
     r points, via the alternating binomial formula over all blocks;
-    checked against a direct count and for block-constancy."""
+    checked against a direct count and for block-constancy.  Tests call
+    it on small partitions; no command does."""
     matrix = p.matrix
     ent, sizes, comp = matrix.entries, matrix.member_sizes, matrix.comp_map
     total = 0
@@ -108,13 +112,13 @@ def e_block_entry(p: Partition, i: int, j: int, r: int) -> int:
 
 
 def lovasz_check(p: Partition):
-    """No reconstruction pairs above half the ground set; and on any pair
-    that does exist, the zero-entry contradiction mechanism evaluates to
-    the stated sign.
+    """No reconstruction pairs above half the ground set (Lovász's bound);
+    and on any pair that does exist, the zero-entry contradiction mechanism
+    (difference of the pair's r = 0 operator rows) evaluates to (-1)^k.
 
-    Returns (above_half_pairs, mechanism_checks); raises if a pair above
-    n/2 is found (that would falsify the bound) or a mechanism value is
-    off.
+    Returns the mechanism checks as (a, b, k, difference); raises if a
+    pair above n/2 is found (that would falsify the bound) or a mechanism
+    value is off.  The tests check the intersection formula (`e_block_entry`).
     """
     matrix = p.matrix
     n = p.g.n
@@ -139,14 +143,6 @@ def lovasz_check(p: Partition):
                     f"row-difference mechanism gives {diff}, expected {(-1) ** k} "
                     f"on pair ({pair.a},{pair.b})")
             mechanism.append((pair.a, pair.b, k, diff))
-        if 2 * k > n:
-            # the r=0 operator vanishes above n/2: formula entries must be 0
-            level = [i for i in range(matrix.s) if matrix.member_sizes[i] == k]
-            for i in level:
-                for j in level:
-                    if e_block_entry(p, i, j, 0) != 0:
-                        raise VerificationFailure(
-                            f"vanishing r=0 operator has nonzero entry at ({i},{j})")
     return mechanism
 
 

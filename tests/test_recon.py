@@ -12,6 +12,7 @@ from goa.recon import (acts_freely, deck, e_block_entry,
                        intersection_sum_rule, kelly_check, lovasz_check,
                        lovasz_tight_instance, maynard_siemons_index, muller_check,
                        reconstruction_pairs)
+from goa.srp import build_counterexample
 from goa.subsets import mask_of, popcount
 
 
@@ -160,13 +161,23 @@ def test_muller_holds_on_all_found_pairs():
 
 def test_e_block_entries_match_brute_force():
     rng = random.Random(20)
-    for _ in range(4):
-        part = orbit_partition(random_group(rng, rng.randint(3, 5)))
+    parts = [orbit_partition(random_group(rng, rng.randint(3, 5))) for _ in range(4)]
+    parts += [orbit_partition(lovasz_tight_instance(r)[0]) for r in (3, 4)]
+    parts.append(build_counterexample()[0])
+    for part in parts:
         m = part.matrix
         for i in range(m.s):
             for j in range(m.s):
                 for r in range(min(m.member_sizes[i], m.member_sizes[j]) + 1):
                     e_block_entry(part, i, j, r)   # self-checking
+    # n = 10: the r = 0 operator vanishes on each level above n/2
+    # (pigeonhole); every r there would take seconds
+    part = orbit_partition(lovasz_tight_instance(5)[0])
+    sizes = part.matrix.member_sizes
+    for i in range(part.matrix.s):
+        for j in range(part.matrix.s):
+            if sizes[i] == sizes[j] and 2 * sizes[i] > part.g.n:
+                assert e_block_entry(part, i, j, 0) == 0
 
 
 def test_intersection_census_trivial_partition():
