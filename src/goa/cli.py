@@ -135,19 +135,19 @@ def cmd_identities(args):
 
 
 def cmd_recon(args):
-    from goa.recon import lovasz_check, muller_check, reconstruction_pairs
+    from goa.recon import lovasz_check, muller_check
     from goa.subsets import format_subset
     p = _load_partition(args.partition)
     if args.size is not None and not 0 <= args.size <= p.g.n:
         raise InputError(f"--size must be in 0..{p.g.n}, got {args.size}")
-    wanted = [args.size] if args.size is not None else sorted(set(p.matrix.member_sizes))
-    pairs_by_size = {k: reconstruction_pairs(p, k) for k in wanted}
+    pairs_by_size = lovasz_check(p)
+    if args.size is not None:
+        pairs_by_size = {args.size: pairs_by_size[args.size]}
     for k, pairs in pairs_by_size.items():
         print(f"pairs at size {k}: {len(pairs)}")
         for pair in pairs:
             print(f"pair: blocks {pair.a} {pair.b} "
                   f"({format_subset(p.blocks[pair.a][0])} vs {format_subset(p.blocks[pair.b][0])})")
-    lovasz_check(p)
     print("no-pairs-above-half: True")
     for pairs in pairs_by_size.values():
         for pair in pairs:

@@ -113,15 +113,13 @@ def vandermonde_coeffs(g: GroundSet):
 
 
 class LinearOperator:
-    """A named linear map on P-basis polynomials."""
+    """A linear map on P-basis polynomials."""
 
-    __slots__ = ("g", "apply", "name", "admissible")
+    __slots__ = ("g", "apply")
 
-    def __init__(self, g: GroundSet, apply, name: str = "", admissible: bool = True):
+    def __init__(self, g: GroundSet, apply):
         self.g = g
         self.apply = apply
-        self.name = name
-        self.admissible = admissible
 
     def __call__(self, p: Poly) -> Poly:
         return self.apply(p)
@@ -133,11 +131,10 @@ def e_klr(g: GroundSet, k: int, l: int, r: int) -> LinearOperator:
     S_n-equivariant: |sigma A & sigma B| = |A & B|, and sigma keeps sizes.
 
     Triples violating r <= k, r <= l, k+l-r <= n are accepted and yield
-    the zero operator, flagged admissible=False.
+    the zero operator.
     """
     if k < 0 or l < 0 or r < 0:
         raise InputError("E[k,l,r] indices must be nonnegative")
-    admissible = r <= k and r <= l and k + l - r <= g.n and k <= g.n and l <= g.n
 
     level_l = enumerate_by_size(g, l) if l <= g.n else []
 
@@ -152,7 +149,7 @@ def e_klr(g: GroundSet, k: int, l: int, r: int) -> LinearOperator:
                     out[b] += c
         return Poly(p.g, P, out)
 
-    return LinearOperator(g, apply, name=f"E[{k},{l},{r}]", admissible=admissible)
+    return LinearOperator(g, apply)
 
 
 def admissible_triples(g: GroundSet):

@@ -305,7 +305,8 @@ def coeff_matrix(p: Partition) -> CoeffMatrix:
 
 def upward_count(p: Partition, i: int, j: int) -> int:
     """Members of block j containing a member of block i; checked constant
-    and equal to both closed forms (orbit-size ratio and complement form)."""
+    and equal to both closed forms (orbit-size ratio and complement form).
+    Tests call it; recon.muller_check reads the complement form."""
     from fractions import Fraction
     matrix = p.matrix
     direct = None

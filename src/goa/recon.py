@@ -4,14 +4,15 @@ the ground set (and above the log of the orbit size), the families
 showing both bounds tight, and the free-action reconstruction index.
 
 `lovasz_check` checks the bound; the intersection formula `e_block_entry`
-is a cross-check against a direct count that tests call, not commands.
+and the upward count `goa.partition.upward_count` are cross-checks against
+a direct count that tests call, not commands.
 """
 
 from bisect import bisect_left, bisect_right
 from math import comb
 
 from goa.errors import BudgetExceeded, InputError, VerificationFailure
-from goa.partition import Partition, upward_count
+from goa.partition import Partition
 from goa.perms import PermGroup, close_generators, identity_perm, orbit_partition
 from goa.subsets import GroundSet, format_subset, mask_of, popcount
 
@@ -116,15 +117,16 @@ def lovasz_check(p: Partition):
     and on any pair that does exist, the zero-entry contradiction mechanism
     (difference of the pair's r = 0 operator rows) evaluates to (-1)^k.
 
-    Returns the mechanism checks as (a, b, k, difference); raises if a
-    pair above n/2 is found (that would falsify the bound) or a mechanism
-    value is off.  The tests check the intersection formula (`e_block_entry`).
+    Returns the reconstruction pairs of every member size k, as
+    {k: [ReconPair]} in ascending k; raises if a pair above n/2 is found
+    (that would falsify the bound) or a mechanism value is off.  The tests
+    check the intersection formula (`e_block_entry`).
     """
     matrix = p.matrix
     n = p.g.n
-    mechanism = []
-    for k in set(matrix.member_sizes):
-        pairs = reconstruction_pairs(p, k)
+    pairs_by_size = {}
+    for k in sorted(set(matrix.member_sizes)):
+        pairs = pairs_by_size[k] = reconstruction_pairs(p, k)
         if 2 * k > n and pairs:
             raise VerificationFailure(
                 f"reconstruction pair at size {k} > n/2: blocks "
@@ -142,8 +144,7 @@ def lovasz_check(p: Partition):
                 raise VerificationFailure(
                     f"row-difference mechanism gives {diff}, expected {(-1) ** k} "
                     f"on pair ({pair.a},{pair.b})")
-            mechanism.append((pair.a, pair.b, k, diff))
-    return mechanism
+    return pairs_by_size
 
 
 def muller_check(p: Partition, pair: ReconPair):
@@ -151,11 +152,14 @@ def muller_check(p: Partition, pair: ReconPair):
     members occur as strict subsets of the pair's sets,
     2^(k - size_j - 1) <= upward count from block j into the pair's block.
 
-    Returns a list of (block, bound, upward, within_proof_scope); raises
+    Returns a list of (block, bound, upward, within_proof_scope), upward
+    read in complement form (members of c(pair) inside a member of c(j),
+    exact under axioms 2 and 3, which the matrix build checks); raises
     when a proof-scope instance fails.  Blocks outside the scope (no
     member inside A) are reported, not asserted.
     """
     matrix = p.matrix
+    comp = matrix.comp_map
     k = pair.size
     results = []
     for j in range(matrix.s):
@@ -163,7 +167,7 @@ def muller_check(p: Partition, pair: ReconPair):
             continue
         in_scope = matrix.entries[pair.a][j] > 0
         bound = 2 ** (k - matrix.member_sizes[j] - 1)
-        up = upward_count(p, j, pair.a)
+        up = matrix.entries[comp[j]][comp[pair.a]]
         if in_scope and bound > up:
             raise VerificationFailure(
                 f"order bound fails: 2^{k - matrix.member_sizes[j] - 1} = {bound} "

@@ -47,7 +47,7 @@ def test_transpose_check_catches_one_perturbed_raising_entry(monkeypatch):
             out[0b011] += p.coeffs[0b100]   # one extra entry: p_{3} -> p_{1 2}
             return Poly(p.g, P, out)
 
-        return LinearOperator(g, apply, name=op.name, admissible=op.admissible)
+        return LinearOperator(g, apply)
 
     monkeypatch.setattr(identities, "e_klr", perturbed)
     got = verdicts(GroundSet(3))
@@ -206,7 +206,7 @@ def perturbed_e_klr(g, k, l, r):
         out[0b011] += p.coeffs[0b100]
         return Poly(p.g, P, out)
 
-    return LinearOperator(g, apply, name=op.name, admissible=op.admissible)
+    return LinearOperator(g, apply)
 
 
 def perturbed_vandermonde_coeffs(g):

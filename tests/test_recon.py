@@ -110,9 +110,8 @@ def test_lovasz_on_random_groups():
 def test_lovasz_mechanism_on_tight_pair():
     group, a, b = lovasz_tight_instance(3)
     part = orbit_partition(group)
-    mech = lovasz_check(part)
-    assert ((part.block_of[a], part.block_of[b], 3, -1) in mech
-            or (part.block_of[b], part.block_of[a], 3, -1) in mech)
+    pairs = lovasz_check(part)[3]     # raises unless the mechanism gives (-1)^3
+    assert any({q.a, q.b} == {part.block_of[a], part.block_of[b]} for q in pairs)
 
 
 def test_tight_pair_padded_persists():
@@ -157,6 +156,21 @@ def test_muller_holds_on_all_found_pairs():
         for k in sorted(set(m.member_sizes)):
             for pair in reconstruction_pairs(part, k):
                 muller_check(part, pair)
+
+
+def test_muller_upward_counts_match_direct_count():
+    # muller_check reads each upward count from the matrix in complement
+    # form; upward_count counts member pairs directly
+    parts = [orbit_partition(lovasz_tight_instance(r)[0]) for r in (3, 4, 5)]
+    parts.append(build_counterexample()[0])
+    checked = 0
+    for part in parts:
+        for pairs in lovasz_check(part).values():
+            for pair in pairs:
+                for j, _, up, _ in muller_check(part, pair):
+                    assert up == upward_count(part, j, pair.a)
+                    checked += 1
+    assert checked > 0
 
 
 def test_e_block_entries_match_brute_force():

@@ -283,7 +283,7 @@ def doubled_e221(g, k, l, r):
     op = operators.e_klr(g, k, l, r)
     if (k, l, r) != (2, 2, 1):
         return op
-    return LinearOperator(g, lambda p: op(p).scale(2), name=op.name, admissible=op.admissible)
+    return LinearOperator(g, lambda p: op(p).scale(2))
 
 
 def test_both_routes_catch_a_doubled_operator(monkeypatch):
