@@ -248,7 +248,8 @@ class CoeffMatrix:
     Row i is a read-only memoryview of block i's packed downward_counts
     word (subsets.unpack), not a tuple: index it, iterate it or list() it.
     member_sizes holds the common member cardinality of each block,
-    orbit_sizes its number of members.  Immutable."""
+    orbit_sizes its number of members, comp_map the block of its
+    complements; upward(i, j) reads the upward counts.  Immutable."""
 
     __slots__ = ("entries", "member_sizes", "orbit_sizes", "comp_map")
 
@@ -265,6 +266,13 @@ class CoeffMatrix:
     def s(self):
         return len(self.entries)
 
+    def upward(self, i, j):
+        """Members of block j that contain a given member A of block i.
+        B contains A iff c(B) lies inside c(A), and the complements of
+        blocks i and j are blocks (axiom 2), so this is the downward count
+        from c(i) to c(j), which does not depend on A (axiom 3)."""
+        return self.entries[self.comp_map[i]][self.comp_map[j]]
+
     def lines(self):
         out = [f"blocks: {self.s}"]
         out.append("sizes: " + " ".join(map(str, self.member_sizes)))
@@ -277,9 +285,9 @@ class CoeffMatrix:
 
 def coeff_matrix(p: Partition) -> CoeffMatrix:
     """Downward-count matrix of a strongly regular partition, cross-checked
-    against the operator comp . ell . comp expressed on the block basis.
+    against epsilon_inverse (comp . ell . comp) on the block basis.
     Callers read p.matrix, which calls this once per partition."""
-    from goa.operators import complementation, ell_power
+    from goa.operators import epsilon_inverse
     from goa.poly import Poly
     report = verify_strongly_regular(p)
     if not report.ok:
@@ -290,12 +298,12 @@ def coeff_matrix(p: Partition) -> CoeffMatrix:
         orbit_sizes=tuple(len(b) for b in p.blocks),
         comp_map=report.comp_map,
     )
-    # comp . ell . comp sends p_A to the sum of p_C over supersets C of A;
-    # on the block basis its column i must read off column i of the counts.
-    # zip(*rows) yields the columns in block order, one at a time, so no
-    # s x s transpose is held.
+    # epsilon_inverse = comp . ell . comp sends p_A to the sum of p_C over
+    # supersets C of A; on the block basis its column i must read off
+    # column i of the counts.  zip(*rows) yields the columns in block
+    # order, one at a time, so no s x s transpose is held.
     for i, (block, counts) in enumerate(zip(p.blocks, zip(*m.entries))):
-        image = complementation(ell_power(1, complementation(Poly.block_sum(p.g, block))))
+        image = epsilon_inverse(Poly.block_sum(p.g, block))
         column, bad = p.block_values(image.coeffs)
         if bad is not None or column != list(counts):
             raise VerificationFailure(
@@ -305,8 +313,8 @@ def coeff_matrix(p: Partition) -> CoeffMatrix:
 
 def upward_count(p: Partition, i: int, j: int) -> int:
     """Members of block j containing a member of block i; checked constant
-    and equal to both closed forms (orbit-size ratio and complement form).
-    Tests call it; recon.muller_check reads the complement form."""
+    and equal to both closed forms (orbit-size ratio and the complement
+    form CoeffMatrix.upward).  Tests call it; goa.recon reads upward."""
     from fractions import Fraction
     matrix = p.matrix
     direct = None
@@ -318,7 +326,7 @@ def upward_count(p: Partition, i: int, j: int) -> int:
         elif c != direct:
             raise VerificationFailure(f"upward count not constant on block pair ({i},{j})")
     ratio = Fraction(matrix.orbit_sizes[j] * matrix.entries[j][i], matrix.orbit_sizes[i])
-    comp_form = matrix.entries[matrix.comp_map[i]][matrix.comp_map[j]]
+    comp_form = matrix.upward(i, j)
     if not (direct == ratio == comp_form):
         raise VerificationFailure(
             f"upward count mismatch on ({i},{j}): direct {direct}, "

@@ -94,9 +94,6 @@ class Poly:
         self._check_compatible(other)
         return Poly(self.g, self.basis, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __neg__(self):
-        return Poly(self.g, self.basis, [-a for a in self.coeffs])
-
     def scale(self, c):
         return Poly(self.g, self.basis, [c * a for a in self.coeffs])
 

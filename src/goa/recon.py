@@ -3,9 +3,12 @@ reconstruction pairs, the counting bounds that forbid them above half
 the ground set (and above the log of the orbit size), the families
 showing both bounds tight, and the free-action reconstruction index.
 
-`lovasz_check` checks the bound; the intersection formula `e_block_entry`
-and the upward count `goa.partition.upward_count` are cross-checks against
-a direct count that tests call, not commands.
+All of it reads the coefficient matrix p.matrix: a deck is a prefix of
+a row, upward counts come from CoeffMatrix.upward, and `_census` is the
+one intersection census formula.  `lovasz_check` checks the bound and
+evaluates its mechanism by `_census`; the intersection formula
+`e_block_entry` and the upward count `goa.partition.upward_count` are
+cross-checks against a direct count that tests call, not commands.
 """
 
 from bisect import bisect_left, bisect_right
@@ -17,44 +20,28 @@ from goa.perms import PermGroup, close_generators, identity_perm, orbit_partitio
 from goa.subsets import GroundSet, format_subset, mask_of, popcount
 
 
-class Deck:
-    """Coefficient-matrix row of a block, restricted to strictly smaller
-    member sizes, in canonical block order.  Immutable."""
-
-    __slots__ = ("block", "smaller_blocks", "entries")
-
-    def __init__(self, block: int, smaller_blocks: tuple, entries: tuple):
-        object.__setattr__(self, "block", block)
-        object.__setattr__(self, "smaller_blocks", smaller_blocks)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Deck is immutable")
-
-
 class ReconPair:
-    """Blocks a < b at member size `size` with the identical deck `deck`.
-    Immutable."""
+    """Blocks a < b at member size `size` with identical decks.  Immutable."""
 
-    __slots__ = ("a", "b", "size", "deck")
+    __slots__ = ("a", "b", "size")
 
-    def __init__(self, a: int, b: int, size: int, deck: Deck):
+    def __init__(self, a: int, b: int, size: int):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "size", size)
-        object.__setattr__(self, "deck", deck)
 
     def __setattr__(self, *a):
         raise AttributeError("ReconPair is immutable")
 
 
-def deck(p: Partition, i: int) -> Deck:
-    """Block i's deck.  Blocks are in canonical order, so member sizes
-    ascend and the smaller blocks are a prefix of the row."""
+def deck(p: Partition, i: int) -> tuple:
+    """Block i's deck: its coefficient-matrix row restricted to the blocks
+    of strictly smaller member size, as a tuple.  Blocks are in canonical
+    order, so member sizes ascend: those blocks are 0 .. len - 1, and the
+    deck is a prefix of the row."""
     matrix = p.matrix
     sizes = matrix.member_sizes
-    start = bisect_left(sizes, sizes[i])
-    return Deck(i, tuple(range(start)), tuple(matrix.entries[i][:start]))
+    return tuple(matrix.entries[i][:bisect_left(sizes, sizes[i])])
 
 
 def reconstruction_pairs(p: Partition, k: int):
@@ -65,8 +52,8 @@ def reconstruction_pairs(p: Partition, k: int):
     out = []
     for xi, i in enumerate(level):
         for j in level[xi + 1:]:
-            if decks[i].entries == decks[j].entries:
-                out.append(ReconPair(i, j, k, decks[i]))
+            if decks[i] == decks[j]:
+                out.append(ReconPair(i, j, k))
     return out
 
 
@@ -95,13 +82,13 @@ def e_block_entry(p: Partition, i: int, j: int, r: int) -> int:
     checked against a direct count and for block-constancy.  Tests call
     it on small partitions; no command does."""
     matrix = p.matrix
-    ent, sizes, comp = matrix.entries, matrix.member_sizes, matrix.comp_map
+    ent, sizes = matrix.entries, matrix.member_sizes
     total = 0
     for u in range(matrix.s):
         cnt = ent[i][u]
         if cnt == 0 or sizes[u] < r:
             continue
-        up = ent[comp[u]][comp[j]]
+        up = matrix.upward(u, j)
         if up:
             total += (-1) ** (sizes[u] - r) * comb(sizes[u], r) * cnt * up
     counts = {sum(1 for b in p.blocks[j] if popcount(a & b) == r) for a in p.blocks[i]}
@@ -115,12 +102,15 @@ def e_block_entry(p: Partition, i: int, j: int, r: int) -> int:
 def lovasz_check(p: Partition):
     """No reconstruction pairs above half the ground set (Lovász's bound);
     and on any pair that does exist, the zero-entry contradiction mechanism
-    (difference of the pair's r = 0 operator rows) evaluates to (-1)^k.
+    evaluates to (-1)^k.  The mechanism is the difference of the pair's
+    r = 0 operator rows, which is _census(a, a, 0) - _census(b, a, 0) as
+    block 0 (the empty set) lies once in every set; with equal decks only
+    the size-k terms survive.
 
     Returns the reconstruction pairs of every member size k, as
     {k: [ReconPair]} in ascending k; raises if a pair above n/2 is found
     (that would falsify the bound) or a mechanism value is off.  The tests
-    check the intersection formula (`e_block_entry`).
+    check the census against a direct count (`exact_intersection_counts`).
     """
     matrix = p.matrix
     n = p.g.n
@@ -132,14 +122,7 @@ def lovasz_check(p: Partition):
                 f"reconstruction pair at size {k} > n/2: blocks "
                 f"{pairs[0].a},{pairs[0].b}")
         for pair in pairs:
-            # difference of the r=0 intersection-operator row entries:
-            # with equal decks only the size-k terms survive and give (-1)^k
-            ent, sizes, comp = matrix.entries, matrix.member_sizes, matrix.comp_map
-            diff = 0
-            for u in range(matrix.s):
-                delta = ent[pair.a][u] - ent[pair.b][u]
-                if delta:
-                    diff += (-1) ** sizes[u] * delta * ent[comp[u]][comp[pair.a]]
+            diff = _census(matrix, pair.a, pair.a, 0) - _census(matrix, pair.b, pair.a, 0)
             if diff != (-1) ** k:
                 raise VerificationFailure(
                     f"row-difference mechanism gives {diff}, expected {(-1) ** k} "
@@ -153,13 +136,11 @@ def muller_check(p: Partition, pair: ReconPair):
     2^(k - size_j - 1) <= upward count from block j into the pair's block.
 
     Returns a list of (block, bound, upward, within_proof_scope), upward
-    read in complement form (members of c(pair) inside a member of c(j),
-    exact under axioms 2 and 3, which the matrix build checks); raises
-    when a proof-scope instance fails.  Blocks outside the scope (no
-    member inside A) are reported, not asserted.
+    read by CoeffMatrix.upward; raises when a proof-scope instance fails.
+    Blocks outside the scope (no member inside A) are reported, not
+    asserted.
     """
     matrix = p.matrix
-    comp = matrix.comp_map
     k = pair.size
     results = []
     for j in range(matrix.s):
@@ -167,7 +148,7 @@ def muller_check(p: Partition, pair: ReconPair):
             continue
         in_scope = matrix.entries[pair.a][j] > 0
         bound = 2 ** (k - matrix.member_sizes[j] - 1)
-        up = matrix.entries[comp[j]][comp[pair.a]]
+        up = matrix.upward(j, pair.a)
         if in_scope and bound > up:
             raise VerificationFailure(
                 f"order bound fails: 2^{k - matrix.member_sizes[j] - 1} = {bound} "
@@ -214,19 +195,26 @@ def lovasz_tight_instance(r: int, pad: int = 0):
     return group, a_mask, b_mask
 
 
-def exact_intersection_counts(p: Partition, a_mask: int, b: int, s: int) -> int:
-    """Number of members V of block b with V intersect A in block s,
-    computed by brute force and by the alternating block formula; the two
-    must agree."""
-    matrix = p.matrix
-    direct = sum(1 for v in p.blocks[b] if p.block_of[v & a_mask] == s)
-    ent, sizes, comp = matrix.entries, matrix.member_sizes, matrix.comp_map
-    ia = p.block_of[a_mask]
+def _census(matrix, i: int, b: int, s: int) -> int:
+    """Members V of block b with V intersect A in block s, for any member
+    A of block i: by inclusion-exclusion over the blocks u of subsets U
+    of A, the alternating sum of (-1)^(|U| - size_s) * entries[u][s] *
+    entries[i][u] * upward(u, b)."""
+    ent, sizes = matrix.entries, matrix.member_sizes
     total = 0
     for u in range(matrix.s):
-        term = ent[u][s] * ent[ia][u] * ent[comp[u]][comp[b]]
+        term = ent[u][s] * ent[i][u]
         if term:
-            total += (-1) ** (sizes[u] - sizes[s]) * term
+            total += (-1) ** (sizes[u] - sizes[s]) * term * matrix.upward(u, b)
+    return total
+
+
+def exact_intersection_counts(p: Partition, a_mask: int, b: int, s: int) -> int:
+    """Number of members V of block b with V intersect A in block s,
+    computed by brute force and by the alternating block formula
+    (`_census`); the two must agree."""
+    direct = sum(1 for v in p.blocks[b] if p.block_of[v & a_mask] == s)
+    total = _census(p.matrix, p.block_of[a_mask], b, s)
     if direct != total:
         raise VerificationFailure(
             f"intersection census disagrees for A={format_subset(a_mask)}, "
@@ -238,10 +226,10 @@ def intersection_sum_rule(p: Partition, a_mask: int, b: int, t: int) -> bool:
     """sum over blocks S of count(S,T) * census(A,B,S)
     equals count(A,T) * upward(T -> B)."""
     matrix = p.matrix
-    ent, comp = matrix.entries, matrix.comp_map
+    ent = matrix.entries
     lhs = sum(ent[s][t] * exact_intersection_counts(p, a_mask, b, s)
               for s in range(matrix.s) if ent[s][t])
-    rhs = ent[p.block_of[a_mask]][t] * ent[comp[t]][comp[b]]
+    rhs = ent[p.block_of[a_mask]][t] * matrix.upward(t, b)
     if lhs != rhs:
         raise VerificationFailure(f"census sum rule fails at T={t}: {lhs} != {rhs}")
     return True

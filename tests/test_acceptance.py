@@ -15,7 +15,7 @@ from goa.identities import identity_suite
 from goa.incidence import enumerate_incidence_functions, verify_bilinear_decomposition
 from goa.partition import (mnukhin_check, structure_constants,
                            upward_count, verify_goa_closure, verify_strongly_regular)
-from goa.perms import close_generators, orbit_partition
+from goa.perms import close_generators, orbit_partition, parse_permutation
 from goa.recon import (intersection_difference_rule, intersection_sum_rule,
                        lovasz_check, lovasz_tight_instance, maynard_siemons_index,
                        muller_check, reconstruction_pairs)
@@ -207,6 +207,13 @@ def test_criterion_8_free_action_index():
     klein = close_generators(g4, [(2, 1, 4, 3), (3, 4, 1, 2)])
     assert klein.order == 4
     indices["klein"] = maynard_siemons_index(klein)
+    # Q8's regular action on 8 points attains the bound of 5
+    g8 = GroundSet(8)
+    q8 = close_generators(g8, [parse_permutation("(1,2,5,6)(3,4,7,8)", g8),
+                               parse_permutation("(1,3,5,7)(2,8,6,4)", g8)])
+    assert q8.order == 8
+    indices["q8"] = maynard_siemons_index(q8)
+    assert indices["q8"] == 5
     assert all(v <= 5 for v in indices.values())
     print(f"  indices: {indices}")
     _report("8 free-action reconstruction index", time.monotonic() - start)

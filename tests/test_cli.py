@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import goa
 from goa import GroundSet, Partition
 from goa.cli import main
-from goa.errors import InputError
+from goa.errors import InputError, VerificationFailure
 from goa.partition import format_partition, parse_partition_text
 from goa.perms import close_generators, format_permutation, orbit_partition, parse_group_text
 from goa.recon import lovasz_tight_instance
@@ -136,6 +136,27 @@ def test_recon_command(tmp_path, capsys):
     assert "no-pairs-above-half: True" in out
 
 
+def test_recon_size_prints_only_that_block_of_the_full_report(tmp_path, capsys):
+    f = tmp_path / "p.txt"
+    f.write_text(format_partition(orbit_partition(lovasz_tight_instance(3)[0])))
+    _, full, _ = run(capsys, "recon", "--partition", str(f))
+    lines = full.splitlines()
+    cut = lines.index("no-pairs-above-half: True")
+    sections = {}
+    for line in lines[:cut]:
+        if line.startswith("pairs at size "):
+            k = int(line.split()[3].rstrip(":"))
+            sections[k] = []
+        sections[k].append(line)
+    assert sections[3][0] == "pairs at size 3: 1"
+    for k, section in sections.items():
+        pairs = {"({},{}):".format(*line.split()[2:4]) for line in section[1:]}
+        bounds = [line for line in lines[cut + 1:] if line.split()[2] in pairs]
+        code, out, err = run(capsys, "recon", "--partition", str(f), "--size", str(k))
+        assert (code, err) == (0, "")
+        assert out.splitlines() == section + [lines[cut]] + bounds
+
+
 def test_muller_tight_command(capsys):
     code, out, _ = run(capsys, "muller-tight", "--r", "3")
     assert code == 0
@@ -161,6 +182,20 @@ def test_digraph_demo_f3(capsys):
     code, out, _ = run(capsys, "digraph-demo", "--vertices", "3")
     assert code == 0
     assert "graph-deletion-identity: True" in out
+
+
+def test_digraph_demo_f4_shows_the_expected_pattern(capsys):
+    code, out, _ = run(capsys, "digraph-demo", "--vertices", "4")
+    assert code == 0
+    assert "expected-pattern: True" in out
+
+
+def test_dimensions_crossover(capsys):
+    # the README's claim: the strict inequality first holds at n = 154 376
+    for n, holds in (("154375", False), ("154376", True)):
+        code, out, _ = run(capsys, "dimensions", "--n", n)
+        assert code == 0
+        assert f"strictly-smaller: {holds}" in out.splitlines()
 
 
 def test_partition_print_parse_round_trip(tmp_path, capsys):
@@ -215,6 +250,17 @@ def test_internal_error_exits_4(monkeypatch, capsys):
     assert code == 4
     assert out == ""
     assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_verification_failure_exits_1_with_one_stderr_line(monkeypatch, capsys):
+    def falsified():
+        raise VerificationFailure("forced")
+
+    monkeypatch.setattr("goa.srp.build_counterexample", falsified)
+    code, out, err = run(capsys, "counterexample")
+    assert code == 1
+    assert out == ""
+    assert err == "verification failure: forced\n"
 
 
 def test_a_module_that_fails_to_import_exits_4(monkeypatch, capsys):

@@ -28,12 +28,9 @@ def brute_deck(p, i):
 
 
 def test_deck_example(example_partition):
-    d = deck(example_partition, 4)     # block {1,3},{2,3}
-    assert d.smaller_blocks == (0, 1, 2)
-    assert d.entries == (1, 1, 1)
-    assert deck(example_partition, 0).entries == ()
-    top = deck(example_partition, 5)
-    assert top.smaller_blocks == (0, 1, 2, 3, 4)
+    assert deck(example_partition, 4) == (1, 1, 1)     # block {1,3},{2,3}
+    assert deck(example_partition, 0) == ()
+    assert deck(example_partition, 5) == (1, 2, 1, 1, 2)
 
 
 def test_deck_matches_brute_force():
@@ -43,9 +40,7 @@ def test_deck_matches_brute_force():
     for part in parts:
         m = part.matrix
         for i in range(m.s):
-            d = deck(part, i)
-            brute = brute_deck(part, i)
-            assert dict(zip(d.smaller_blocks, d.entries)) == brute
+            assert dict(enumerate(deck(part, i))) == brute_deck(part, i)
 
 
 def test_example_pairs_only_at_singletons(example_partition):
