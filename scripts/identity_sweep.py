@@ -2,8 +2,9 @@
 """Run the exact operator-identity suite across a range of ground sets.
 
 Exit status: 0 if every identity holds for every n, 1 if some identity
-fails, 2 on bad arguments (the suite supports 1 <= n <= 8, and an empty
-range, --min-n above --max-n, is refused rather than passed).
+fails, 2 on bad arguments (the suite supports 1 <= n <= MAX_N_IDENTITIES,
+12, from goa.terwilliger, and an empty range, --min-n above --max-n, is
+refused rather than passed).
 """
 
 import argparse
@@ -12,14 +13,15 @@ import time
 
 from goa import GroundSet
 from goa.errors import DEFAULT_SEED
-from goa.identities import identity_suite
+from goa.identities import MAX_N_IDENTITIES, identity_suite
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser()
-    ap.add_argument("--min-n", type=int, default=2, choices=range(1, 9))
-    ap.add_argument("--max-n", type=int, default=6, choices=range(1, 9),
-                    help="largest ground-set size; the suite supports n <= 8")
+    sizes = range(1, MAX_N_IDENTITIES + 1)
+    ap.add_argument("--min-n", type=int, default=2, choices=sizes)
+    ap.add_argument("--max-n", type=int, default=6, choices=sizes,
+                    help=f"largest ground-set size; the suite supports n <= {MAX_N_IDENTITIES}")
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
     args = ap.parse_args(argv)
     if args.min_n > args.max_n:

@@ -9,11 +9,12 @@ op(sigma . v) = sigma . op(v).  goa.identities relies on this to check
 each identity between them once per S_n orbit.
 """
 
-from math import factorial
+from itertools import combinations
+from math import factorial, lcm
 
 from goa.errors import InputError
 from goa.poly import P, Poly
-from goa.subsets import GroundSet, enumerate_by_size, popcount, subset_sum
+from goa.subsets import GroundSet, popcount, subset_sum
 
 
 def _require_p_basis(p: Poly):
@@ -67,24 +68,29 @@ def ell_power(m: int, p: Poly) -> Poly:
 
 def ell_power_series(m: int, p: Poly) -> Poly:
     """Reference route for ell_power: the literal truncated exponential
-    series in the derivation."""
+    series sum over k = 0..n of (m^k / k!) * derivation^k.
+
+    It runs in ints.  With den the lcm of the denominators of p, the
+    series of den * p is summed with every term times n!, so term k has
+    the int weight m^k * n!/k!; each entry of the sum is divided by
+    den * n! once at the end, and comes back an int when it is integral.
+    """
     from fractions import Fraction
     if m == 0:
         raise InputError("ell_power requires a nonzero integer power")
     _require_p_basis(p)
-    acc = list(p.coeffs)
-    cur = p
-    mk = 1
-    for k in range(1, p.g.n + 1):
+    n = p.g.n
+    den = lcm(*(c.denominator for c in p.coeffs))
+    cur = Poly(p.g, P, [c.numerator * (den // c.denominator) for c in p.coeffs])
+    acc = [factorial(n) * c for c in cur.coeffs]
+    weight = factorial(n)
+    for k in range(1, n + 1):
         cur = derivation(cur)
-        mk *= m
-        w = Fraction(mk, factorial(k))
-        if w.denominator == 1:
-            w = w.numerator
+        weight = weight * m // k   # m^k * n!/k!, exact since k! divides n!
         for a, c in cur.terms():
-            acc[a] += w * c
-    acc = [c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c for c in acc]
-    return Poly(p.g, P, acc)
+            acc[a] += weight * c
+    total = den * factorial(n)
+    return Poly(p.g, P, [v // total if v % total == 0 else Fraction(v, total) for v in acc])
 
 
 def epsilon_map(p: Poly) -> Poly:
@@ -130,26 +136,48 @@ def e_klr(g: GroundSet, k: int, l: int, r: int) -> LinearOperator:
     over size-l sets B meeting A in exactly r points; kills other levels.
     S_n-equivariant: |sigma A & sigma B| = |A & B|, and sigma keeps sizes.
 
+    The image of p_A costs its C(k, r) * C(n-k, l-r) targets, each B an
+    r-subset of A joined with an (l-r)-subset of the complement of A,
+    and one 2^n-entry vector.  A p with no term of size k maps to the
+    operator's one zero polynomial, which costs nothing per call.
     Triples violating r <= k, r <= l, k+l-r <= n are accepted and yield
-    the zero operator.
+    the zero operator, since one of the two subset lists is empty.
     """
     if k < 0 or l < 0 or r < 0:
         raise InputError("E[k,l,r] indices must be nonnegative")
 
-    level_l = enumerate_by_size(g, l) if l <= g.n else []
+    zero = Poly.zero(g)
 
-    def apply(p: Poly, _k=k, _l=l, _r=r, _lev=level_l) -> Poly:
+    def apply(p: Poly, _k=k, _l=l, _r=r) -> Poly:
         _require_p_basis(p)
-        out = [0] * p.g.size
+        out = None
         for a, c in p.terms():
             if popcount(a) != _k:
                 continue
-            for b in _lev:
-                if popcount(a & b) == _r:
-                    out[b] += c
+            if out is None:
+                out = [0] * p.g.size
+            outside = _subsets_of_size(p.g.full_mask ^ a, _l - _r)
+            for inside in _subsets_of_size(a, _r):
+                for b in outside:
+                    out[inside | b] += c
+        if out is None:   # no term of p has size k
+            return zero if p.g is g else Poly.zero(p.g)
         return Poly(p.g, P, out)
 
     return LinearOperator(g, apply)
+
+
+def _subsets_of_size(mask: int, size: int):
+    """The masks of the size-element subsets of mask; none if size is
+    negative or above the size of mask."""
+    count = popcount(mask)
+    if not 0 < size < count:
+        return [mask if size else 0] if size in (0, count) else []
+    bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+    if 2 * size <= count:
+        return list(map(sum, combinations(bits, size)))
+    # fewer elements to leave out than to choose
+    return list(map(mask.__xor__, map(sum, combinations(bits, count - size))))
 
 
 def admissible_triples(g: GroundSet):

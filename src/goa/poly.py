@@ -20,6 +20,9 @@ test and the coefficient-matrix cross-check hand them to
 Partition.block_values as they are.
 """
 
+from itertools import compress
+from operator import mul
+
 from goa.errors import InputError
 from goa.subsets import GroundSet, format_subset, popcount, submasks, subset_sum
 
@@ -53,9 +56,13 @@ class Poly:
 
     @staticmethod
     def term(g, mask, coeff=1, basis=P):
+        """coeff * p_mask (or eps_mask); it carries its one term, so
+        terms() scans nothing."""
         c = [0] * g.size
         c[mask] = coeff
-        return Poly(g, basis, c)
+        p = Poly(g, basis, c)
+        object.__setattr__(p, "_terms", ((mask, coeff),) if coeff != 0 else ())
+        return p
 
     @staticmethod
     def one(g):
@@ -114,10 +121,11 @@ class Poly:
 
     def terms(self):
         """Nonzero (mask, coeff) pairs, ascending mask, as a tuple.  A Poly
-        is immutable, so the scan runs once and later calls reuse it."""
+        is immutable, so the scan runs once, in C, and later calls reuse it."""
         if self._terms is None:
-            object.__setattr__(self, "_terms",
-                               tuple((m, c) for m, c in enumerate(self.coeffs) if c != 0))
+            c = self.coeffs
+            object.__setattr__(self, "_terms", tuple(zip(compress(range(len(c)), c),
+                                                         compress(c, c))) if any(c) else ())
         return self._terms
 
     # -- algebra --------------------------------------------------------
@@ -130,20 +138,42 @@ class Poly:
         S_n-equivariant in each basis: with sigma . p_A = p_{sigma A},
         sigma(x * y) = (sigma x) * (sigma y), as sigma(A | B) = sigma A | sigma B.
 
-        Two packed P-basis factors multiply into a bytearray, and their
-        product is packed; if a coefficient passes 255, the list loop
-        starts over.
+        A P-basis product takes one of two routes, with the same result:
+
+        - term loop: add ca * cb to coefficient a | b for each term pair,
+          when there are at most 2 n 2^n pairs.
+        - transform: past that, the Moebius transform of the entrywise
+          product of the two zeta transforms (subset_sum with w = 1, then
+          w = -1), 3 n 2^n additions.  The zeta transform of a P-basis
+          vector is its function on the subsets, and the product of
+          functions is entrywise.
+
+        Two packed factors give a packed product whenever every
+        coefficient is at most 255: the term loop multiplies into a
+        bytearray and starts over in a list if a coefficient passes 255,
+        and the transform's result is packed if bytes() takes it.
         """
         self._check_compatible(other)
+        g = self.g
         if self.basis == EPS:
-            return Poly(self.g, EPS, [a * b for a, b in zip(self.coeffs, other.coeffs)])
+            return Poly(g, EPS, [a * b for a, b in zip(self.coeffs, other.coeffs)])
         left, right = self.terms(), other.terms()
-        if type(self.coeffs) is bytes and type(other.coeffs) is bytes:
+        packed = type(self.coeffs) is bytes and type(other.coeffs) is bytes
+        if len(left) * len(right) > 2 * g.n * g.size:
+            out = subset_sum(list(map(mul, subset_sum(self.coeffs, g.n, 1),
+                                      subset_sum(other.coeffs, g.n, 1))), g.n, -1)
+            if packed:
+                try:
+                    return Poly(g, P, bytes(out))
+                except ValueError:   # a coefficient past 255
+                    pass
+            return Poly(g, P, out)
+        if packed:
             try:
-                return Poly(self.g, P, bytes(_union_products(bytearray(self.g.size), left, right)))
+                return Poly(g, P, bytes(_union_products(bytearray(g.size), left, right)))
             except ValueError:   # a coefficient past 255
                 pass
-        return Poly(self.g, P, _union_products([0] * self.g.size, left, right))
+        return Poly(g, P, _union_products([0] * g.size, left, right))
 
     def __rmul__(self, c):
         return self.scale(c)

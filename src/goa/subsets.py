@@ -12,7 +12,7 @@ all run through it.  Reversing a vector indexed by masks moves entry x to
 full - x, the complement of x: reversal is complementation, and it turns
 superset sums into subset sums.
 
-subset_sum has two routes with the same results.  When the weight is an
+subset_sum has three routes with the same results.  When the weight is an
 int w >= 1 and every entry is an int in 0..255 (bytes(c) succeeds), the
 vector is packed into one Python int of unsigned 1-, 2-, 4- or 8-byte
 fields, sized by min(sum(c) * w^n, max(c) * (1+w)^n), and each of the n
@@ -20,14 +20,18 @@ passes is a few big-int operations over all fields at once.  Block
 indicators qualify, so every ell_power of the coefficient-matrix
 cross-check takes this route, and so does each P -> EPS change of a
 closure image whose coefficients stay at most 255.  Every other vector
-(negative entries, entries above 255, w <= 0, Fraction entries, or a
-bound of 2^64 or more) takes the list loop, which is also the packed
-route's test oracle.  downward_counts calls the list loop directly: its
-entries are multi-field words, wide by construction.
+(negative entries, entries above 255, w <= 0, or a bound of 2^64 or
+more) takes the list loop, which is also the packed route's test
+oracle.  A vector with a Fraction entry and an int weight is scaled to
+ints by the lcm of its denominators, transformed by the int routes and
+divided back once per entry, so no Fraction is added in the n passes.
+downward_counts calls the list loop directly: its entries are
+multi-field words, wide by construction.
 
 subset_sum returns bytes exactly when the packed route holds the result
 in 1-byte fields, and a list otherwise; int or bool entries come back as
-ints either way.  This bytes-or-list result is the one packed form of the
+ints either way, and the entries of a vector with a Fraction entry as
+Fractions.  This bytes-or-list result is the one packed form of the
 package: goa.poly keeps such bytes as a Poly's coeffs and feeds them to
 the next transform, which packs them as they are.
 """
@@ -36,7 +40,8 @@ import re
 import sys
 from functools import lru_cache
 from itertools import repeat
-from operator import add, mul
+from math import lcm
+from operator import add, attrgetter, mul
 from struct import calcsize, unpack_from
 
 from goa.errors import InputError
@@ -45,6 +50,7 @@ MAX_N_VECTOR = 20   # 2^n coefficient vectors stay practical up to here
 # struct codes of the packed subset_sum fields (1, 2, 4 and 8 bytes),
 # narrowest first, each with 2^bits: a bound must lie below it to fit
 _WIDTHS = tuple((code, 1 << 8 * calcsize("<" + code)) for code in "BHIQ")
+_INTS = {int, bool}   # entry types the int routes take as they are
 
 
 class GroundSet:
@@ -137,7 +143,7 @@ def subset_sum(c, n: int, w):
     w^(|x|-|y|) * c[y], for a sequence c of length 2^n; returns bytes when
     the packed route holds the result in 1-byte fields, else a new list.
 
-    w = 1 is the zeta transform and w = -1 its Moebius inverse.  Two
+    w = 1 is the zeta transform and w = -1 its Moebius inverse.  Three
     routes give the same exact results, and c is never modified:
 
     - packed: w is an int >= 1 and every entry an int in 0..255 (bytes(c)
@@ -150,8 +156,15 @@ def subset_sum(c, n: int, w):
       nonzero bytes alone (translate deletes the zeros), which a block
       indicator has few of.  1-byte fields are widened in place of a
       second pack.
+    - scaled (_scaled_sum): w is an int and some entry is not an int
+      (a Fraction).  c times the lcm L of its denominators is an int
+      vector; its transform, by one of the two int routes, is divided by
+      L once per entry, and every entry comes back a Fraction.  The type
+      scan that finds such an entry runs in C, and only on vectors that
+      do not take the packed route.
     - list loop (_list_sum): everything else, that is negative entries,
-      entries above 255, w <= 0, Fraction entries and larger bounds.
+      entries above 255, w <= 0 and larger bounds.  It is the test oracle
+      of the other two routes.
     """
     count = len(c)
     if count != 1 << n:
@@ -168,7 +181,19 @@ def subset_sum(c, n: int, w):
             code = next((t for t, limit in _WIDTHS if bound < limit), None)
             if code is not None:
                 return _packed_sum(_widen(data, code), code, n, w)
+    if isinstance(w, int) and not set(map(type, c)) <= _INTS:
+        return _scaled_sum(c, n, w)
     return _list_sum(c, n, w)
+
+
+def _scaled_sum(c, n: int, w: int):
+    """subset_sum of rational entries through ints: L * c is an int vector
+    for the lcm L of the denominators, and its transform divided by L is
+    the transform of c, since the transform is linear."""
+    from fractions import Fraction   # loaded already: some entry is a Fraction
+    den = lcm(*map(attrgetter("denominator"), c))
+    scaled = [x.numerator * (den // x.denominator) for x in c]
+    return [Fraction(v, den) for v in subset_sum(scaled, n, w)]
 
 
 def _widen(data: bytes, code: str):

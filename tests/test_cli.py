@@ -18,6 +18,7 @@ from goa.errors import InputError, VerificationFailure
 from goa.partition import format_partition, parse_partition_text
 from goa.perms import close_generators, format_permutation, orbit_partition, parse_group_text
 from goa.recon import lovasz_tight_instance
+from goa.terwilliger import MAX_N_IDENTITIES
 
 EXAMPLE = "n 3\n-\n1 ; 2\n3\n1 2\n1 3 ; 2 3\n1 2 3\n"
 
@@ -513,7 +514,7 @@ NONPOSITIVE_SECONDS = st.one_of(
 # the values out of range (None: every decimal text is accepted).  Values
 # in range are never drawn, so no draw starts a long run.
 NUMBER_FLAGS = [
-    (("identities", "--n", None), INT_TEXT, out_of(1, 8)),
+    (("identities", "--n", None), INT_TEXT, out_of(1, MAX_N_IDENTITIES)),
     (("enumerate-srp", "--n", None), INT_TEXT, out_of(1, 6)),
     (("dimensions", "--n", None), INT_TEXT, out_of(1, None)),
     (("muller-tight", "--r", None), INT_TEXT, out_of(2, 8)),

@@ -17,7 +17,7 @@ from goa.operators import (LinearOperator, complementation, derivation, e_klr, e
                            vandermonde_coeffs)
 from goa.poly import P, Poly
 from goa.subsets import GroundSet, enumerate_by_size, popcount, submasks
-from goa.terwilliger import verify_terwilliger_generation
+from goa.terwilliger import MAX_N_IDENTITIES, verify_terwilliger_generation
 
 
 def verdicts(g):
@@ -239,10 +239,10 @@ def test_per_orbit_suite_matches_the_oracle_under_each_mutation(monkeypatch, nam
     assert not all(ok for _, ok, _ in got)
 
 
-def test_suite_refuses_n_past_8_before_any_check(monkeypatch):
+def test_suite_refuses_n_past_the_cap_before_any_check(monkeypatch):
     monkeypatch.setattr(identities, "derivation", lambda p: pytest.fail("a check ran"))
-    with pytest.raises(InputError, match="n <= 8"):
-        identity_suite(GroundSet(9))
+    with pytest.raises(InputError, match=f"n <= {MAX_N_IDENTITIES}"):
+        identity_suite(GroundSet(MAX_N_IDENTITIES + 1))
 
 
 def load_identity_sweep():
@@ -262,8 +262,8 @@ def test_identity_sweep_exits_1_when_an_identity_fails(monkeypatch, capsys):
     assert "n=4: 1 identities, FAILED: ['one identity']" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("argv", [["--max-n", "9"], ["--min-n", "0"]])
-def test_identity_sweep_refuses_n_outside_1_to_8(argv, capsys):
+@pytest.mark.parametrize("argv", [["--max-n", str(MAX_N_IDENTITIES + 1)], ["--min-n", "0"]])
+def test_identity_sweep_refuses_n_outside_1_to_the_cap(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         load_identity_sweep().main(argv)
     assert exc.value.code == 2

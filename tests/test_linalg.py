@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import goa.linalg as linalg
 from goa.errors import InputError
-from goa.linalg import (_rref, identity_matrix, mat_inverse, mat_mul, mat_pow, rank,
-                        solve_exact, solve_least_norm)
+from goa.linalg import (_bareiss_rank, _rank_mod_p, _rref, identity_matrix, mat_inverse,
+                        mat_mul, mat_pow, rank, solve_exact, solve_least_norm)
 
 ENTRY = st.integers(min_value=-3, max_value=3)
 
@@ -128,3 +129,41 @@ def test_integer_rank_matches_rational_elimination(a):
 def test_rank_refuses_fractions():
     with pytest.raises(InputError, match="ints"):
         rank([[Fraction(1, 2), 1]])
+
+
+# -- the mod-p route of rank, with Bareiss and _rref as its oracles -----------
+
+def test_a_rank_that_drops_mod_p_falls_back_to_the_exact_route():
+    # 127 is the prime: [[127, 0], [0, 1]] has rank 1 mod p and 2 over Z
+    for a in ([[127, 0], [0, 1]], [[254, 127, 0], [0, 0, -381]], [[127]]):
+        assert _rank_mod_p(a) < rank(a) == _bareiss_rank(a) == len(_rref(a, [()] * len(a))[1])
+
+
+def test_a_full_rank_mod_p_needs_no_exact_elimination(monkeypatch):
+    monkeypatch.setattr(linalg, "_bareiss_rank", lambda m: pytest.fail("Bareiss ran"))
+    assert rank(identity_matrix(5)) == 5
+    assert rank([[1, 2, 3], [4, 5, 6]]) == 2
+    assert rank([[1, 4], [2, 5], [3, 6]]) == 2    # the smaller dimension in the rows
+
+
+MULTIPLES = st.integers(-3, 3).map(lambda k: 127 * k)
+
+
+@st.composite
+def matrices_mod_p(draw):
+    """rows x cols ints, 0 <= rows, cols <= 7, whose entries are drawn from
+    small ints, ints near the prime 127 and its multiples, so the rank
+    mod p often drops below the rank."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    entry = st.one_of(st.integers(-3, 3), st.integers(120, 400), MULTIPLES)
+    return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(matrices_mod_p(), integer_matrices()))
+def test_rank_matches_bareiss_and_rational_elimination(a):
+    exact = _bareiss_rank(a)
+    assert rank(a) == exact == len(_rref(a, [()] * len(a))[1])
+    assert _rank_mod_p(a) <= exact
+    assert _rank_mod_p(transpose(a)) == _rank_mod_p(a)

@@ -94,6 +94,42 @@ def test_ell_matches_series_route():
             assert ell_power(m, p) == ell_power_series(m, p)
 
 
+def fraction_ell_power_series(m, p):
+    """ell_power_series as it was written in Fractions: each term weighted
+    by Fraction(m^k, k!) and added to the running sum, which is then
+    normalised, an integral Fraction becoming an int."""
+    acc = list(p.coeffs)
+    cur = p
+    mk = 1
+    for k in range(1, p.g.n + 1):
+        cur = derivation(cur)
+        mk *= m
+        w = Fraction(mk, factorial(k))
+        if w.denominator == 1:
+            w = w.numerator
+        for a, c in cur.terms():
+            acc[a] += w * c
+    acc = [c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c for c in acc]
+    return Poly(p.g, P, acc)
+
+
+def typed(p):
+    return [(type(c), c) for c in p.coeffs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.sampled_from([-3, -2, -1, 1, 2, 3]), st.data())
+def test_int_series_matches_the_fraction_series_and_ell_power(n, m, data):
+    g = GroundSet(n)
+    entry = st.one_of(st.integers(-9, 9),
+                      st.fractions(min_value=-9, max_value=9, max_denominator=6))
+    p = Poly(g, P, data.draw(st.lists(entry, min_size=g.size, max_size=g.size)))
+    series = ell_power_series(m, p)
+    # the same values, each an int exactly when it is integral
+    assert typed(series) == typed(fraction_ell_power_series(m, p))
+    assert series == ell_power(m, p)
+
+
 def test_epsilon_examples():
     g2 = GroundSet(2)
     assert epsilon_map(Poly.term(g2, g2.full_mask)) == Poly.term(g2, g2.full_mask)
@@ -157,6 +193,42 @@ def test_e_klr_kills_other_levels(g3):
     op = e_klr(g3, 1, 2, 1)
     assert op(x(g3, 1, 2)).is_zero()
     assert op(Poly.one(g3)).is_zero()
+    # the operator's shared zero, and a fresh one on an equal ground set
+    assert op(Poly.one(g3)) is op(x(g3, 1, 2, 3))
+    assert op(Poly.one(GroundSet(3))) == Poly.zero(g3)
+
+
+def e_klr_by_definition(g, k, l, r, p):
+    """E[k,l,r] p: each size-k term p_A goes to the sum of p_B over the
+    size-l sets B with |A & B| = r, found by scanning every mask."""
+    out = [0] * g.size
+    for a, c in p.terms():
+        if popcount(a) == k:
+            for b in g.masks():
+                if popcount(b) == l and popcount(a & b) == r:
+                    out[b] += c
+    return Poly(g, P, out)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_e_klr_matches_its_definition_for_every_triple(n):
+    # every (k, l, r) in 0..n+1, inadmissible triples included, on every
+    # basis vector and on a vector of several terms whose images cancel
+    g = GroundSet(n)
+    rng = random.Random(n)
+    mixed = Poly(g, P, [rng.choice([0, 0, 1, -1, Fraction(1, 2)]) for _ in range(g.size)])
+    level = {}
+    for a in g.masks():
+        level.setdefault(popcount(a), []).append(a)
+    for k in range(n + 2):
+        for l in range(n + 2):
+            for r in range(n + 2):
+                op = e_klr(g, k, l, r)
+                for a in level.get(k, [0, g.full_mask]):
+                    p = Poly.term(g, a, 3)
+                    assert op(p) == e_klr_by_definition(g, k, l, r, p)
+                    assert op(p).terms() == tuple((m, c) for m, c in enumerate(op(p).coeffs) if c)
+                assert op(mixed) == e_klr_by_definition(g, k, l, r, mixed)
 
 
 def test_nilpotency_at_the_dense_bound():

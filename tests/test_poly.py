@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from goa import poly
 from goa.errors import InputError
 from goa.poly import EPS, P, Poly, format_poly, from_function
-from goa.subsets import GroundSet, mask_of, popcount
+from goa.subsets import GroundSet, mask_of, popcount, subset_sum
 
 
 def rational_polys(n, basis=P):
@@ -67,6 +68,15 @@ def test_terms_is_an_immutable_tuple_equal_to_a_fresh_scan(p, q):
     assert product.terms() == tuple((m, c) for m, c in enumerate(product.coeffs) if c != 0)
     with pytest.raises(AttributeError):
         p._terms = ()
+
+
+@pytest.mark.parametrize("coeff", [1, -3, Fraction(1, 2), 0, Fraction(0)])
+def test_a_term_carries_its_one_term(coeff):
+    g = GroundSet(3)
+    p = Poly.term(g, 5, coeff)
+    assert p._terms == (((5, coeff),) if coeff else ())
+    assert p.coeffs == tuple(coeff if m == 5 else 0 for m in g.masks())
+    assert p == Poly(g, P, p.coeffs) and p.terms() == Poly(g, P, p.coeffs).terms()
 
 
 @given(rational_polys(4))
@@ -216,6 +226,70 @@ def test_packed_product_past_255_restarts_in_the_list_loop():
     big = Poly(g, P, bytes([200] + [0] * 14 + [3]))
     assert type((big * big).coeffs) is tuple
     assert (big * big).coeffs == (40000,) + (0,) * 14 + (1209,)
+
+
+# -- the two routes of the P-basis product ------------------------------------
+
+def term_loop_product(x, y):
+    """x * y by the definition: ca * cb added at a | b for every pair of terms."""
+    out = [0] * x.g.size
+    for a, ca in x.terms():
+        for b, cb in y.terms():
+            out[a | b] += ca * cb
+    return Poly(x.g, P, out)
+
+
+def product_transforms(mp):
+    """A list that gets the weight of each subset_sum call of Poly.__mul__."""
+    calls = []
+    mp.setattr(poly, "subset_sum", lambda c, n, w: calls.append(w) or subset_sum(c, n, w))
+    return calls
+
+
+@st.composite
+def product_factors(draw):
+    """Two P-basis factors at n <= 6, each of int, Fraction or byte
+    coefficients, and dense (every coefficient drawn) or sparse (at most n
+    drawn)."""
+    g = GroundSet(draw(st.integers(1, 6)))
+    rng = draw(st.randoms(use_true_random=False))
+    draws = {"int": lambda: rng.randint(-9, 9),
+             "fraction": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+             "bytes": lambda: rng.randrange(256)}
+
+    def factor():
+        kind = draw(st.sampled_from(sorted(draws)))
+        dense = draw(st.booleans())
+        c = [0] * g.size
+        for m in range(g.size) if dense else rng.sample(range(g.size), g.n):
+            c[m] = draws[kind]()
+        return Poly(g, P, bytes(c) if kind == "bytes" else c)
+
+    return factor(), factor()
+
+
+@given(product_factors())
+@settings(max_examples=150, deadline=None)
+def test_both_product_routes_match_the_term_loop(pair):
+    x, y = pair
+    with pytest.MonkeyPatch.context() as mp:
+        calls = product_transforms(mp)
+        product = x * y
+    dense = len(x.terms()) * len(y.terms()) > 2 * x.g.n * x.g.size
+    assert calls == ([1, 1, -1] if dense else [])
+    assert same_poly(product, term_loop_product(x, y))
+    packed = type(x.coeffs) is bytes and type(y.coeffs) is bytes
+    assert (type(product.coeffs) is bytes) == (packed and max(product.coeffs) <= 255)
+
+
+def test_product_takes_the_transform_past_2_n_2_to_the_n_term_pairs(monkeypatch):
+    g = GroundSet(3)                     # 2 n 2^n = 48
+    calls = product_transforms(monkeypatch)
+    full, six = Poly(g, P, bytes([1] * 8)), Poly(g, P, bytes([1] * 6 + [0, 0]))
+    assert full * six == term_loop_product(full, six) and calls == []    # 48 pairs
+    square = full * full                 # 64 pairs: 3^3 = 27 at the full mask
+    assert calls == [1, 1, -1] and type(square.coeffs) is bytes and square.coeffs[7] == 27
+    assert square == term_loop_product(full, full)
 
 
 @given(byte_entries(), st.sampled_from([1, -1, 2]))

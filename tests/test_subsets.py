@@ -205,9 +205,11 @@ def reference_code(c, n, w):
 
 
 def test_attaining_vectors_outside_the_packed_rule_take_the_list_loop(monkeypatch):
-    # negative entries, entries above 255, w <= 0 and Fractions all take the
-    # list loop; entries of m >= 0 with w >= 1 are the packed rule's, and
-    # each attaining vector reaches its bound m * (1+|w|)^n
+    # negative entries, entries above 255 and w <= 0 take the list loop;
+    # entries of m >= 0 with w >= 1 are the packed rule's, and each
+    # attaining vector reaches its bound m * (1+|w|)^n.  The Fractions,
+    # all integral, are scaled by 1: they take the route of the equal ints,
+    # and come back as a list of Fractions.
     taken = spy_routes(monkeypatch)
     for n in range(9):
         for w in PACKED_WEIGHTS:
@@ -216,8 +218,9 @@ def test_attaining_vectors_outside_the_packed_rule_take_the_list_loop(monkeypatc
                 for c in (ints, [-v for v in ints], [Fraction(v) for v in ints]):
                     del taken[:]
                     out = subset_sum(c, n, w)
-                    assert taken == [reference_code(c, n, w)], (n, w, m)
-                    assert type(out) is (bytes if taken == ["B"] else list)
+                    scaled = type(c[0]) is Fraction
+                    assert taken == [reference_code(ints if scaled else c, n, w)], (n, w, m)
+                    assert type(out) is (bytes if taken == ["B"] and not scaled else list)
                     assert list(out) == _list_sum(c, n, w)
                     assert abs(out[-1]) == m * (1 + abs(w)) ** n
                     if type(c[0]) is int:
@@ -359,19 +362,54 @@ def test_route_follows_the_packed_rule_at_the_byte_boundaries(monkeypatch):
             assert list(out) == direct_sum(c, n, w)
 
 
+# -- the scaled route: Fraction entries through the int routes ----------------
+
+@st.composite
+def fraction_vectors(draw):
+    """(n, c): n <= 6 and 2^n entries, ints and Fractions with denominators
+    up to 12, at least one of them a Fraction that is not an int."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    c = draw(st.lists(ENTRIES, min_size=1 << n, max_size=1 << n))
+    c[draw(st.integers(0, (1 << n) - 1))] = draw(
+        st.fractions(min_value=-50, max_value=50, max_denominator=12).filter(
+            lambda f: f.denominator > 1))
+    return n, c
+
+
+@given(fraction_vectors(), WEIGHTS)
+@settings(deadline=None)
+def test_scaled_route_matches_the_list_loop(nc, w):
+    n, c = nc
+    out = subset_sum(c, n, w)
+    assert out == _list_sum(c, n, w)
+    assert type(out) is list and all(type(v) is Fraction for v in out)
+
+
+def test_scaled_route_divides_once_per_entry(monkeypatch):
+    # the n passes add ints: the list loop sees no Fraction
+    seen = []
+    listed = subsets._list_sum
+    monkeypatch.setattr(subsets, "_list_sum",
+                        lambda c, n, w: seen.append({type(v) for v in c}) or listed(c, n, w))
+    c = [Fraction(1, 2), -1, Fraction(2, 3), 0, 5, Fraction(-1, 4), 0, 1]
+    assert subset_sum(c, 3, -1) == listed(c, 3, -1)
+    assert seen == [{int}]
+
+
 def test_fraction_mixed_and_wide_vectors_take_the_list_loop(monkeypatch):
     taken = spy_routes(monkeypatch)
     cases = [
         ([Fraction(1, 2), Fraction(-3, 4), Fraction(5), Fraction(0)], 2, 1),
         ([1, Fraction(1, 3), 2, -4], 2, -1),
-        ([Fraction(2), 1], 1, 3),
+        ([Fraction(2), 1], 1, 3),            # scaled by 1 to [2, 1], which packs
         ([1 << 61, -1, 3, 0], 2, 1),         # bound 2^63
         ([1 << 70, 1], 1, 2),
     ]
     for c, n, w in cases:
         out = subset_sum(c, n, w)
         assert out == direct_sum(c, n, w)
-    assert taken == [None] * len(cases)
+    # a Fraction vector takes the route of its scaled ints
+    assert taken == [None, None, "B", None, None]
     assert subset_sum([Fraction(2), 1], 1, 3) == [2, 7]
     assert type(subset_sum([Fraction(2), 1], 1, 3)[0]) is Fraction
 

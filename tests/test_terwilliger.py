@@ -10,7 +10,7 @@ from goa.linalg import identity_matrix, mat_mul, rank
 from goa.operators import LinearOperator, admissible_triples, derivation, e_klr
 from goa.poly import P, Poly
 from goa.subsets import GroundSet, enumerate_by_size
-from goa.terwilliger import GenerationReport, verify_terwilliger_generation
+from goa.terwilliger import MAX_N_IDENTITIES, GenerationReport, verify_terwilliger_generation
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -42,8 +42,8 @@ def test_scalar_note_present():
 
 
 def test_rejects_large_ground_set():
-    with pytest.raises(InputError):
-        verify_terwilliger_generation(GroundSet(9))
+    with pytest.raises(InputError, match=f"n <= {MAX_N_IDENTITIES}"):
+        verify_terwilliger_generation(GroundSet(MAX_N_IDENTITIES + 1))
 
 
 def test_generation_check_catches_one_wrong_derivation_entry(monkeypatch):
